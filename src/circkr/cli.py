@@ -20,7 +20,7 @@ import numpy as np
 
 from .decomposition import decompose, decompose_tridiagonal, reconstruct
 from .errors import CircKRError, DimensionMismatchError, UsageError
-from .factors import CIRCULANT, materialize
+from .factors import CIRCULANT, FACTOR_NAMES, materialize
 from .inverse import inverse_dense, inverse_first_row
 from .oracle import build_dense, dense_solve, spectral_inverse_first_row
 from .recurrence import SystemSpec
@@ -111,10 +111,9 @@ def cmd_decompose(ns):
         lines.append(f"g = {_exact(fct.g)}")
         lines.append(f"scaled g (×a) = {_exact(spec.a * fct.g)}")
     if ns.dense:
-        names = ("K", "K_inv", "R", "R_inv", "A1", "A1_inv")
-        if fct.variant != CIRCULANT:
-            names = ("K", "K_inv", "A1", "A1_inv")
-        for name in names:
+        for name in FACTOR_NAMES:
+            if fct.variant != CIRCULANT and name.startswith("R"):
+                continue  # the tridiagonal variant has R = I
             lines.append(f"{name} =")
             lines.extend(_csv_rows(materialize(fct, name), ns.precision))
     _emit(ns, lines)

@@ -12,7 +12,6 @@ from .factors import (
     CIRCULANT,
     TRIDIAGONAL,
     Factorization,
-    _guard_dense,
     materialize,
 )
 from .recurrence import SystemSpec, compute_g, generate_f, generate_r
@@ -52,17 +51,15 @@ def reconstruct(fct: Factorization) -> np.ndarray:
     """Rebuild the dense matrix from its factors (verification path).
 
     Applies R^-1 (one rank-one row update) and K^-1 (a first-difference
-    sweep) to A1^T row by row, then scales by a: O(n^2) after the core
-    factor is materialized.  Capped at order 10**4.
+    sweep) row by row to A1^T in place, then scales by a: O(n^2) and one
+    n x n buffer after the core factor is materialized.  Capped at 10**4.
     """
     n = fct.spec.n
-    _guard_dense(n)
-    f = fct.f
-    upper = np.ascontiguousarray(materialize(fct, "A1").T)
+    out = materialize(fct, "A1").T
     if fct.variant == CIRCULANT:
-        upper[n - 1] = upper[n - 1] - fct.r @ upper[: n - 1]
-    out = np.empty_like(upper)
-    out[0] = upper[0] / f[1]
-    out[1:] = (upper[1:] - upper[:-1]) / f[2 : n + 1][:, None]
+        out[n - 1] -= fct.r @ out[: n - 1]
+    for i in range(n - 1, 0, -1):
+        out[i] -= out[i - 1]
+    out /= fct.f[1 : n + 1][:, None]
     out *= fct.spec.a
     return out

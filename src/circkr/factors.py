@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    SingularPivotError,
     SizeGuardError,
     VariantMismatchError,
 )
@@ -176,22 +177,37 @@ def apply_r_inverse(fct, x):
     return y
 
 
+def _solve_a1_transpose(fct, y):
+    """x with A1^T x = y, by one back-substitution scan from the corner up."""
+    n = fct.spec.n
+    f = fct.f
+    x = np.empty(n)
+    if fct.variant == CIRCULANT:
+        if fct.g == 0.0:
+            raise SingularPivotError("closure scalar g = 0: the matrix is singular")
+        x_n = y[n - 1] / fct.g
+        x[n - 1] = x_n
+        x[n - 2] = (y[n - 2] - (f[n - 1] + 1.0) * x_n) / (-f[n])
+        for i in range(n - 3, -1, -1):
+            x[i] = (y[i] - f[i + 1] * x[i + 1] - x_n) / (-f[i + 2])
+    else:
+        x[n - 1] = y[n - 1] / (-f[n + 1])
+        for i in range(n - 2, -1, -1):
+            x[i] = (y[i] - f[i + 1] * x[i + 1]) / (-f[i + 2])
+    return x
+
+
 def a1_inverse_last_row(fct):
     """Last row of A1^-1 for the circulant variant, by substitution in O(n).
 
     The printed closed form for this row does not hold; solving
     A1^T m = e_n row by row (from the corner pivot g upward) does, and is
-    what every dense inverse path here uses.
+    what the dense A1^-1 uses.
     """
     _require_circulant(fct, "the closure row of A1^-1")
-    n = fct.spec.n
-    f = fct.f
-    m = np.empty(n)
-    m[n - 1] = 1.0 / fct.g
-    m[n - 2] = (f[n - 1] + 1.0) * m[n - 1] / f[n]
-    for i in range(n - 3, -1, -1):
-        m[i] = (f[i + 1] * m[i + 1] + m[n - 1]) / f[i + 2]
-    return m
+    e_n = np.zeros(fct.spec.n)
+    e_n[-1] = 1.0
+    return _solve_a1_transpose(fct, e_n)
 
 
 def _dense_k(fct):
@@ -233,15 +249,15 @@ def _dense_a1(fct):
 
 
 def _dense_a1_inverse(fct):
-    # Strictly lower block: entry (i, j) = -f_j / (f_i f_{i+1}) for j <= i,
-    # grouped as -(f_j / f_i) / f_{i+1} so no intermediate product overflows.
+    # Lower block: entry (i, j) = -f_j / (f_i f_{i+1}) for j <= i, grouped
+    # as ((1 / f_i) f_j) / -f_{i+1} so no intermediate product overflows.
     n = fct.spec.n
     f = fct.f
     rows = n - 1 if fct.variant == CIRCULANT else n
     out = np.zeros((n, n))
-    block = np.tril(np.outer(1.0 / f[1 : rows + 1], f[1 : rows + 1]))
-    block /= -f[2 : rows + 2][:, None]
-    out[:rows, :rows] = block
+    inv = 1.0 / f[1 : rows + 1]
+    for i in range(rows):
+        out[i, : i + 1] = inv[i] * f[1 : i + 2] / -f[i + 2]
     if fct.variant == CIRCULANT:
         out[n - 1] = a1_inverse_last_row(fct)
     return out

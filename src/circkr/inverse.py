@@ -1,61 +1,52 @@
-"""Dense and first-row inverses assembled from the structured factors.
+"""Dense and first-row inverses, each written into a single n x n buffer.
 
-The inverse satisfies  A^-1 = (1/a) * (A1^-1)^T * R * K.  Both operands are
-structured: (A1^-1)^T is upper triangular with the closed-form block
--f_j / (f_i f_{i+1}) plus one substitution row, and R K is K with its last
-row replaced by a combination of the earlier rows.  Every entry of the
-product therefore collapses to a suffix sum, giving the whole dense inverse
-in O(n^2) without a general matrix multiply.
+The inverse of a symmetric circulant matrix is again symmetric circulant,
+so the circulant variant's dense inverse is the cyclic expansion of its
+first row, which one O(n) structured solve yields.  The tridiagonal
+variant's inverse is the symmetric semiseparable matrix with entries
+-f_min(i,j) * G_max(i,j) / a, filled as one outer product whose upper
+triangle is mirrored into the lower one.  Neither path needs a general
+matrix multiply or any n x n scratch array beyond the result.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import VariantMismatchError
-from .factors import CIRCULANT, Factorization, _guard_dense, a1_inverse_last_row
+from .factors import CIRCULANT, Factorization, _guard_dense
 from .solver import solve
-
-# Asymmetry above this (relative to the largest entry) triggers averaging.
-SYMMETRY_RTOL = 1e-13
 
 
 def inverse_dense(fct: Factorization) -> np.ndarray:
-    """Full inverse in O(n^2), symmetric by construction up to roundoff.
+    """Full inverse in O(n^2), exactly symmetric by construction.
 
-    Writing G_m = f_m * sum_{k=m}^{n-1} 1/(f_k f_{k+1}) (computed by the
-    stable downward recursion G_m = 1/f_{m+1} + (f_m/f_{m+1}) G_{m+1} so
-    that no intermediate product can overflow or underflow), the entries
-    of a * A^-1 are
+    Circulant variant: the first row v from ``inverse_first_row`` is made
+    exactly palindromic (v_j and v_{n+2-j}, 1-based, replaced by their
+    mean, a roundoff-level change) and expanded cyclically, row i being v
+    rolled right by i.
 
-        -f_min(i,j) * G_max(i,j)                 closed-form block
-        + m_i * w_j                              (circulant correction)
+    Tridiagonal variant: writing G_m = f_m * sum_{k=m}^{n} 1/(f_k f_{k+1})
+    (computed by the stable downward recursion
+    G_m = 1/f_{m+1} + (f_m/f_{m+1}) G_{m+1} so that no intermediate product
+    can overflow or underflow), entry (i, j) is -f_min(i,j) * G_max(i,j) / a.
 
-    with m the substitution row of A1^-1 and w_j = f_j (1 + suffix sum of
-    r).  The tridiagonal variant keeps only the closed-form block, with
-    the suffix running through k = n.  Capped at order 10**4.  If roundoff
-    asymmetry exceeds 1e-13 relative, the result is symmetrized by
-    averaging.
+    Capped at order 10**4.
     """
     n = fct.spec.n
     _guard_dense(n)
-    f = fct.f
-    last = n - 1 if fct.variant == CIRCULANT else n
-    suffix = np.zeros(n + 2)
-    for m in range(last, 0, -1):
-        suffix[m] = 1.0 / f[m + 1] + (f[m] / f[m + 1]) * suffix[m + 1]
-    fi = f[1 : n + 1]
-    idx = np.arange(n)
-    lo = np.minimum.outer(idx, idx)
-    hi = np.maximum.outer(idx, idx)
-    out = -fi[lo] * suffix[hi + 1]
     if fct.variant == CIRCULANT:
-        tail = np.zeros(n)
-        tail[: n - 1] = np.cumsum(fct.r[::-1])[::-1]
-        weights = fi * (1.0 + tail)
-        out += np.outer(a1_inverse_last_row(fct), weights)
+        v = inverse_first_row(fct)
+        v[1:] = (v[1:] + v[:0:-1]) / 2.0
+        # Window s of (v_1 .. v_{n-1}, v_0 .. v_{n-1}) is v rolled right by n-1-s.
+        return sliding_window_view(np.concatenate((v[1:], v)), n)[::-1].copy()
+    f = fct.f
+    suffix = np.zeros(n + 2)
+    for m in range(n, 0, -1):
+        suffix[m] = 1.0 / f[m + 1] + (f[m] / f[m + 1]) * suffix[m + 1]
+    out = np.multiply.outer(-f[1 : n + 1], suffix[1 : n + 1])
+    for i in range(1, n):
+        out[i, :i] = out[:i, i]
     out /= fct.spec.a
-    scale = np.abs(out).max()
-    if scale > 0.0 and np.abs(out - out.T).max() > SYMMETRY_RTOL * scale:
-        out = (out + out.T) / 2.0
     return out
 
 

@@ -10,10 +10,12 @@ scan.  For the circulant variant the unknowns come out as
     x_i = (y_i - f_i x_{i+1} - x_n) / (-f_{i+1})        i = n-2 .. 1
 
 and the tridiagonal variant uses the pure bidiagonal core (last pivot
--f_{n+1}, no x_n coupling term).
+-f_{n+1}, no x_n coupling term).  The scan is shared with
+``a1_inverse_last_row``, which solves the same system against e_n.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -21,9 +23,8 @@ from .errors import (
     CircKRError,
     DimensionMismatchError,
     GrowthOverflowError,
-    SingularPivotError,
 )
-from .factors import CIRCULANT, Factorization, _check_vector
+from .factors import CIRCULANT, Factorization, _check_vector, _solve_a1_transpose
 
 
 class OperationCounter:
@@ -68,36 +69,29 @@ def solve(fct: Factorization, b) -> np.ndarray:
     rejected eagerly rather than silently propagated.
     """
     b = _check_vector(fct, b, name="b")
-    if not np.isfinite(b).all():
+    peak = max(b.max(), -b.min())  # NaN and infinity propagate into peak
+    if not math.isfinite(peak):
         bad = int(np.nonzero(~np.isfinite(b))[0][0])
         raise GrowthOverflowError(
             f"right-hand side entry {bad + 1} is not finite ({b[bad]})"
         )
     n = fct.spec.n
-    f = fct.f
-    scaled = b / fct.spec.a
-    y = np.cumsum(f[1 : n + 1] * scaled)
+    # Solve against b / 2**e, an exact rescale into [-1, 1), so that f * b
+    # cannot overflow merely because b is large; x is scaled back at the end.
+    e = math.frexp(peak)[1]
+    scaled = np.ldexp(b, -e)
+    scaled /= fct.spec.a
+    y = np.cumsum(fct.f[1 : n + 1] * scaled)
     _tally(3 * n)
     if not np.isfinite(y[-1]):
         raise GrowthOverflowError("prefix accumulation left the 64-bit range")
-    x = np.empty(n)
     if fct.variant == CIRCULANT:
-        g = fct.g
-        if g == 0.0:
-            raise SingularPivotError("closure scalar g = 0: the matrix is singular")
-        y_last = float(fct.r @ y[: n - 1]) + y[n - 1]
-        _tally(2 * n)
-        x_n = y_last / g
-        x[n - 1] = x_n
-        x[n - 2] = (y[n - 2] - (f[n - 1] + 1.0) * x_n) / (-f[n])
-        for i in range(n - 3, -1, -1):
-            x[i] = (y[i] - f[i + 1] * x[i + 1] - x_n) / (-f[i + 2])
-        _tally(5 * (n - 2))
+        y[n - 1] += float(fct.r @ y[: n - 1])
+        _tally(2 * n + 5 * (n - 2))
     else:
-        x[n - 1] = y[n - 1] / (-f[n + 1])
-        for i in range(n - 2, -1, -1):
-            x[i] = (y[i] - f[i + 1] * x[i + 1]) / (-f[i + 2])
         _tally(4 * (n - 1))
+    x = _solve_a1_transpose(fct, y)
+    np.ldexp(x, e, out=x)
     if not np.isfinite(x).all():
         raise GrowthOverflowError("back substitution left the 64-bit range")
     return x

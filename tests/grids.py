@@ -1,6 +1,7 @@
 """Shared parameter grids and small helpers for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -60,3 +61,13 @@ def relative_max_error(actual, expected):
     expected = np.asarray(expected, dtype=float)
     scale = np.abs(expected).max()
     return np.abs(np.asarray(actual, dtype=float) - expected).max() / scale
+
+
+def peak_doubles(func, *args):
+    """Peak traced allocation during ``func(*args)``, in float64 elements."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()

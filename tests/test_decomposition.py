@@ -20,7 +20,7 @@ from circkr import (
     reconstruct,
 )
 
-from grids import relative_max_error
+from grids import peak_doubles, relative_max_error
 
 SPOT_CHECKS = [
     (3, 2.05, 1.0),
@@ -143,3 +143,16 @@ class TestReconstruct:
         )
         with pytest.raises(SizeGuardError):
             reconstruct(fake)
+
+
+@pytest.mark.parametrize("decomposer", [decompose, decompose_tridiagonal])
+@pytest.mark.parametrize(
+    "dense_path",
+    [reconstruct, lambda fct: materialize(fct, "A1_inv")],
+    ids=["reconstruct", "A1_inv"],
+)
+def test_dense_paths_peak_memory(dense_path, decomposer):
+    # The result plus at most one more n x n array's worth of scratch.
+    n = 512
+    fct = decomposer(SystemSpec(n, 2.05, 1.0))
+    assert peak_doubles(dense_path, fct) <= 2.0 * n * n

@@ -18,7 +18,7 @@ from circkr import (
     spectral_inverse_first_row,
 )
 
-from grids import relative_max_error
+from grids import peak_doubles, relative_max_error
 
 SPOT_CHECKS = [
     (3, 2.05, 1.0),
@@ -166,3 +166,18 @@ class TestInverseDense:
         )
         with pytest.raises(SizeGuardError):
             inverse_dense(fake)
+
+
+@pytest.mark.parametrize("decomposer", [decompose, decompose_tridiagonal])
+def test_inverse_dense_peak_memory(decomposer):
+    # The result itself is n^2 doubles; no n x n scratch array may join it.
+    n = 512
+    fct = decomposer(SystemSpec(n, 2.05, 1.0))
+    assert peak_doubles(inverse_dense, fct) <= 1.2 * n * n
+
+
+def test_circulant_inverse_rows_are_exact_rolls():
+    inv = inverse_dense(decompose(SystemSpec(37, -5.5, 2.0)))
+    assert np.array_equal(inv, inv.T)
+    for i in range(37):
+        assert np.array_equal(inv[i], np.roll(inv[0], i))

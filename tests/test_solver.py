@@ -169,3 +169,23 @@ class TestOperationCount:
             assert inner.total == first
             assert outer.total == first
         assert first > 0
+
+
+@pytest.mark.parametrize(
+    "spec, exponent",
+    [(SystemSpec(1000, 2.5, 1.0), 34), (SystemSpec(65536, 1.0 + 2e4, -1e4), 100)],
+    ids=["d2.5-n1000-b1e10", "d-2.0001-n65536-b1e30"],
+)
+def test_large_rhs_does_not_overflow(spec, exponent):
+    # |f_n| is within a few decades of the 64-bit limit at these orders, so
+    # the literal product f * b overflows for a large but representable b
+    # although A is well conditioned.  Scaling b by a power of two must scale
+    # x by exactly the same power.
+    fct = decompose(spec)
+    b = np.random.default_rng(7).standard_normal(spec.n)
+    big = np.ldexp(b, exponent)
+    x = solve(fct, big)
+    assert np.array_equal(x, np.ldexp(solve(fct, b), exponent))
+    residual = spec.c * x + spec.a * (np.roll(x, 1) + np.roll(x, -1)) - big
+    norm_a = abs(spec.c) + 2.0 * abs(spec.a)
+    assert np.abs(residual).max() <= 1e-14 * norm_a * np.abs(x).max()
