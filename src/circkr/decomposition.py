@@ -33,18 +33,27 @@ def _f_for_order(spec):
         ) from None
 
 
+def _frozen(*arrays):
+    # Arrays built here have no other owner; read-only, Factorization keeps
+    # them without a copy.
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 def decompose(spec: SystemSpec) -> Factorization:
     """Factorize the circulant variant of ``spec`` in O(n) time and storage."""
     f = _f_for_order(spec)
     r = generate_r(f, spec.n)
     g = compute_g(f, r, spec.n)
+    f, r = _frozen(f, r)
     return Factorization(spec=spec, f=f, r=r, g=g, variant=CIRCULANT)
 
 
 def decompose_tridiagonal(spec: SystemSpec) -> Factorization:
     """Factorize the plain tridiagonal variant (no corners, R = I)."""
-    f = _f_for_order(spec)
-    return Factorization(spec=spec, f=f, r=np.empty(0), g=None, variant=TRIDIAGONAL)
+    f, r = _frozen(_f_for_order(spec), np.empty(0))
+    return Factorization(spec=spec, f=f, r=r, g=None, variant=TRIDIAGONAL)
 
 
 def reconstruct(fct: Factorization) -> np.ndarray:

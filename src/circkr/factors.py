@@ -30,11 +30,18 @@ at reconstruction or solve time):
            variant: pure lower bidiagonal with diagonal (-f_2 .. -f_{n+1})
            and subdiagonal (f_1 .. f_{n-1}).
 
-Applying K, K^-1, R, R^-1 to a vector costs O(n).  Materialization is for
-verification and reporting; it is capped at order 10**4.
+Applying K, K^-1, R, R^-1 to a vector costs O(n), and so does solving
+A1^T x = y: dividing row i of that system by f_i f_{i+1} turns it into
+u_i = u_{i+1} - (y_i - x_n) / (f_i f_{i+1}) for u_i = x_i / f_i, one
+reversed prefix sum.  Materialization is for verification and reporting;
+it is capped at order 10**4.
 """
 
+import contextlib
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +75,10 @@ class Factorization:
     g : float or None (None for the tridiagonal variant)
     variant : "circulant" or "tridiagonal"
 
-    The arrays are defensively copied and marked read-only; no public
-    operation mutates a Factorization after construction.
+    The arrays are stored read-only; no public operation mutates a
+    Factorization after construction.  A float64 array that is already
+    read-only and owns its memory (as ``decompose`` hands over) is kept as
+    is; anything else is copied, never frozen in place.
     """
 
     spec: SystemSpec
@@ -82,8 +91,8 @@ class Factorization:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         n = self.spec.n
-        f = np.array(self.f, dtype=float)
-        r = np.array(self.r, dtype=float)
+        f = _read_only(self.f)
+        r = _read_only(self.r)
         if f.shape != (n + 2,):
             raise DimensionMismatchError(
                 f"f must hold f_0..f_{{n+1}} (shape ({n + 2},)), got {f.shape}"
@@ -101,14 +110,91 @@ class Factorization:
                 raise ValueError("tridiagonal factorization carries no r coefficients")
             if self.g is not None:
                 raise ValueError("tridiagonal factorization carries no closure scalar")
-        f.flags.writeable = False
-        r.flags.writeable = False
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "r", r)
 
     @property
     def n(self):
         return self.spec.n
+
+    @cached_property
+    def _plan(self):
+        n = self.spec.n
+        f = self.f
+        s = (math.frexp(f[n + 1])[1] - 1) // 2
+        m = n - 1 if self.variant == CIRCULANT else n
+        mantissa, exponent = math.frexp(self.spec.a)
+        return _SolvePlan(
+            s, m, f[1 : n + 1], f[1 : m + 1], f[2 : m + 2],
+            np.float64(math.ldexp(1.0 / mantissa, 2 * s)), -(s + exponent),
+        )
+
+
+class _SolvePlan(NamedTuple):
+    """Scalars and views of f that every solve against one factorization uses.
+
+    The solve works on y / 2**s, with 2**s near sqrt|f_{n+1}| and 4**s at
+    most 2**1022.  That keeps f_i b_i / 2**s and every term of the back
+    substitution within about 2**+-520 even when |f_{n+1}| nears the
+    largest double.
+    """
+
+    shift: int  # s
+    coupled: int  # unknowns whose rows carry an x_n term: n - 1, or n if none
+    pivots: np.ndarray  # f_1 .. f_n
+    lower: np.ndarray  # f_1 .. f_coupled
+    upper: np.ndarray  # f_2 .. f_{coupled + 1}
+    a_scale: float  # 4**s / m for a = m 2**p, 1/2 <= |m| < 1
+    a_unshift: int  # -(s + p)
+
+
+def _read_only(x):
+    if (
+        isinstance(x, np.ndarray)
+        and x.dtype == np.float64
+        and x.base is None
+        and not x.flags.writeable
+    ):
+        return x
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
+class OperationCounter:
+    """Accumulates the elements that a solve's vectorized passes touch."""
+
+    def __init__(self):
+        self.total = 0
+
+    def add(self, amount):
+        self.total += int(amount)
+
+
+_counter = None
+
+
+@contextlib.contextmanager
+def count_operations():
+    """Context manager instrumenting solves made inside it.
+
+    Yields an OperationCounter whose ``total`` grows by the element count
+    of every vectorized pass a solve runs, so a block of k columns counts
+    k times.  Used to check that the solve does O(n) work.
+    """
+    global _counter
+    previous = _counter
+    _counter = counter = OperationCounter()
+    try:
+        yield counter
+    finally:
+        _counter = previous
+
+
+def _tally(*written):
+    """Count vectorized passes by the arrays they wrote, one per pass."""
+    if _counter is not None:
+        _counter.add(sum(w.size for w in written))
 
 
 def _check_vector(fct, x, name="x"):
@@ -177,37 +263,61 @@ def apply_r_inverse(fct, x):
     return y
 
 
-def _solve_a1_transpose(fct, y):
-    """x with A1^T x = y, by one back-substitution scan from the corner up."""
-    n = fct.spec.n
-    f = fct.f
-    x = np.empty(n)
-    if fct.variant == CIRCULANT:
+def _solve_a1_transpose(fct, out, scale):
+    """Solve A1^T x = y in place, for y of shape (n,) or (k, n), in O(n k).
+
+    ``out`` holds y / 2**s on entry (s from the solve plan) and
+    x * scale / 2**s on return, where ``scale`` is 4**s or within a factor
+    of two of it.  Row i of A1^T x = y reads
+    f_i x_{i+1} - f_{i+1} x_i = y_i - x_n, so u_i = x_i / f_i obeys
+
+        u_i = x_n / f_n + sum_{k=i}^{n-1} (x_n - y_k) / (f_k f_{k+1}),
+        x_n = y_n / g:
+
+    one reversed prefix sum.  The tridiagonal variant has no x_n coupling,
+    and its sum of -y_k / (f_k f_{k+1}) runs to k = n.  The terms are
+    formed as ((x_n - y_k) / f_k * scale) / f_{k+1}, so that none of them
+    leaves the normal range.
+    """
+    plan = fct._plan
+    m = plan.coupled
+    corner = out.T  # entry j: a scalar, or the k right-hand sides' entries
+    circulant = fct.variant == CIRCULANT
+    if circulant:
         if fct.g == 0.0:
             raise SingularPivotError("closure scalar g = 0: the matrix is singular")
-        x_n = y[n - 1] / fct.g
-        x[n - 1] = x_n
-        x[n - 2] = (y[n - 2] - (f[n - 1] + 1.0) * x_n) / (-f[n])
-        for i in range(n - 3, -1, -1):
-            x[i] = (y[i] - f[i + 1] * x[i + 1] - x_n) / (-f[i + 2])
+        corner[m] /= fct.g
+        x_n = corner[m]  # x_n / 2**s
     else:
-        x[n - 1] = y[n - 1] / (-f[n + 1])
-        for i in range(n - 2, -1, -1):
-            x[i] = (y[i] - f[i + 1] * x[i + 1]) / (-f[i + 2])
-    return x
+        x_n = 0.0
+    body = out[..., :m]
+    np.subtract(x_n, body.T, body.T)  # x_n broadcasts along the k axis
+    np.divide(body, plan.lower, body)
+    np.multiply(out, scale, out)
+    np.divide(body, plan.upper, body)
+    if circulant:
+        corner[m] /= plan.pivots[m]  # scale x_n / (2**s f_n), the last u
+    backward = out[..., ::-1]
+    np.add.accumulate(backward, -1, None, backward)
+    np.multiply(out, plan.pivots, out)
+    _tally(body, body, out, body, out, out)
+    return out
 
 
 def a1_inverse_last_row(fct):
     """Last row of A1^-1 for the circulant variant, by substitution in O(n).
 
     The printed closed form for this row does not hold; solving
-    A1^T m = e_n row by row (from the corner pivot g upward) does, and is
-    what the dense A1^-1 uses.
+    A1^T m = e_n (from the corner pivot g upward) does, and is what the
+    dense A1^-1 uses.  It runs on 4**s e_n, which puts x_n = 4**s / g on
+    the solver's working scale.
     """
     _require_circulant(fct, "the closure row of A1^-1")
-    e_n = np.zeros(fct.spec.n)
-    e_n[-1] = 1.0
-    return _solve_a1_transpose(fct, e_n)
+    s = fct._plan.shift
+    out = np.zeros(fct.spec.n)
+    out[-1] = math.ldexp(1.0, s)
+    _solve_a1_transpose(fct, out, math.ldexp(1.0, 2 * s))
+    return np.ldexp(out, -3 * s, out)
 
 
 def _dense_k(fct):

@@ -1,65 +1,75 @@
 """O(n) direct solve against a factorized system.
 
-Forward pass: y = R K (b / a) costs two structured sweeps.  Backward pass:
-the transposed core A1^T is upper triangular with three nonzero bands
-(diagonal, superdiagonal, last column), so back substitution is a single
-scan.  For the circulant variant the unknowns come out as
+A x = b with A = a K^-1 R^-1 A1^T is solved by a fixed sequence of
+vectorized passes over one output buffer, for one right-hand side or a
+block of k of them (held as the rows of a (k, n) buffer):
 
-    x_n = y_n / g
-    x_{n-1} = (y_{n-1} - (f_{n-1} + 1) x_n) / (-f_n)
-    x_i = (y_i - f_i x_{i+1} - x_n) / (-f_{i+1})        i = n-2 .. 1
+    b / 2**(e + s)            exact rescale; b / 2**e lies in [-1, 1)
+    y = K (b / 2**(e + s))    one prefix sum of f_i b_i
+    y_n += r . y[:n-1]        the closure row of R (circulant only)
+    A1^T x = y                one reversed prefix sum (``_solve_a1_transpose``)
+    x * 2**(e + s) / a        exact rescale, a's mantissa applied on the way
 
-and the tridiagonal variant uses the pure bidiagonal core (last pivot
--f_{n+1}, no x_n coupling term).  The scan is shared with
-``a1_inverse_last_row``, which solves the same system against e_n.
+The back substitution needs no per-element loop: with u_i = x_i / f_i,
+
+    u_i = x_n / f_n + sum_{k=i}^{n-1} (x_n - y_k) / (f_k f_{k+1}),
+    x_n = y_n / g,
+
+and the tridiagonal variant drops x_n and runs the sum to k = n.  The
+shift 2**s, near sqrt|f_{n+1}|, keeps every intermediate in the normal
+64-bit range however close |f_{n+1}| comes to the largest double.
 """
 
-import contextlib
 import math
 
 import numpy as np
 
-from .errors import (
-    CircKRError,
-    DimensionMismatchError,
-    GrowthOverflowError,
+from .errors import DimensionMismatchError, GrowthOverflowError
+from .factors import (
+    CIRCULANT,
+    Factorization,
+    _check_vector,
+    _solve_a1_transpose,
+    _tally,
+    count_operations,
 )
-from .factors import CIRCULANT, Factorization, _check_vector, _solve_a1_transpose
+
+__all__ = ["count_operations", "solve", "solve_many"]
 
 
-class OperationCounter:
-    """Accumulates the scalar-arithmetic work a solve actually performs."""
-
-    def __init__(self):
-        self.total = 0
-
-    def add(self, amount):
-        self.total += int(amount)
+def _not_finite(b, where=""):
+    bad = int(np.argmin(np.isfinite(b)))
+    return GrowthOverflowError(
+        f"{where}right-hand side entry {bad + 1} is not finite ({b[bad]})"
+    )
 
 
-_counter = None
+def _solve(fct, rhs, e, out=None):
+    """x for right-hand sides ``rhs`` of shape (n,) or (k, n), into ``out``.
 
-
-@contextlib.contextmanager
-def count_operations():
-    """Context manager instrumenting solve() calls made inside it.
-
-    Yields an OperationCounter whose ``total`` grows with every vector
-    sweep (by its length) and every back-substitution step.  Used to check
-    that the solve does O(n) work.
+    ``e`` holds each right-hand side's power-of-two exponent.  The passes
+    run on b / 2**(e + s), an exact rescale that keeps every product
+    f_i b_i in range however large or small b is.  The back substitution
+    also divides by the mantissa of a, and one exact rescale at the end
+    restores 2**e and the exponent of a.
     """
-    global _counter
-    previous = _counter
-    _counter = counter = OperationCounter()
-    try:
-        yield counter
-    finally:
-        _counter = previous
-
-
-def _tally(amount):
-    if _counter is not None:
-        _counter.add(amount)
+    plan = fct._plan
+    out = np.ldexp(rhs, -(e + plan.shift), out)
+    np.multiply(out, plan.pivots, out)
+    np.add.accumulate(out, -1, None, out)
+    if fct.variant == CIRCULANT:
+        head = out[..., :-1]
+        # einsum sums in numpy's own loop; a BLAS dot may wake worker threads.
+        out.T[-1] += np.einsum("...i,i->...", head, fct.r)
+        _tally(head)
+    _solve_a1_transpose(fct, out, plan.a_scale)
+    np.ldexp(out, e + plan.a_unshift, out)
+    # A sum is non-finite whenever an entry is; only then look entry by entry.
+    total = np.add.reduce(out, None)
+    _tally(out, out, out, out, out)
+    if not math.isfinite(total) and not np.isfinite(out).all():
+        raise GrowthOverflowError("back substitution left the 64-bit range")
+    return out
 
 
 def solve(fct: Factorization, b) -> np.ndarray:
@@ -69,42 +79,21 @@ def solve(fct: Factorization, b) -> np.ndarray:
     rejected eagerly rather than silently propagated.
     """
     b = _check_vector(fct, b, name="b")
-    peak = max(b.max(), -b.min())  # NaN and infinity propagate into peak
+    # NaN and infinity propagate into peak.
+    peak = max(np.maximum.reduce(b), -np.minimum.reduce(b))
     if not math.isfinite(peak):
-        bad = int(np.nonzero(~np.isfinite(b))[0][0])
-        raise GrowthOverflowError(
-            f"right-hand side entry {bad + 1} is not finite ({b[bad]})"
-        )
-    n = fct.spec.n
-    # Solve against b / 2**e, an exact rescale into [-1, 1), so that f * b
-    # cannot overflow merely because b is large; x is scaled back at the end.
-    e = math.frexp(peak)[1]
-    scaled = np.ldexp(b, -e)
-    scaled /= fct.spec.a
-    y = np.cumsum(fct.f[1 : n + 1] * scaled)
-    _tally(3 * n)
-    if not np.isfinite(y[-1]):
-        raise GrowthOverflowError("prefix accumulation left the 64-bit range")
-    if fct.variant == CIRCULANT:
-        y[n - 1] += float(fct.r @ y[: n - 1])
-        _tally(2 * n + 5 * (n - 2))
-    else:
-        _tally(4 * (n - 1))
-    x = _solve_a1_transpose(fct, y)
-    np.ldexp(x, e, out=x)
-    if not np.isfinite(x).all():
-        raise GrowthOverflowError("back substitution left the 64-bit range")
-    return x
+        raise _not_finite(b)
+    return _solve(fct, b, math.frexp(peak)[1])
 
 
 def solve_many(fct: Factorization, block) -> np.ndarray:
-    """Solve one factorization against every column of ``block``.
+    """Solve one factorization against every column of ``block`` in O(n k).
 
     Returns an (n, k) array; k = 0 returns an empty solution block
-    immediately.  A failure on any column re-raises the same structured
-    error with the offending column named.  Columns are independent, so
-    callers may freely split them across workers; this implementation
-    keeps them sequential for determinism.
+    immediately.  All columns run through the same vectorized passes at
+    once, and column j of the result is bit-identical to
+    ``solve(fct, block[:, j])``.  Non-finite entries are looked for before
+    any work is done, and the error names the first column holding one.
     """
     block = np.asarray(block, dtype=float)
     n = fct.spec.n
@@ -112,13 +101,16 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side block must have shape ({n}, k), got {block.shape}"
         )
-    out = np.empty_like(block)
-    for j in range(block.shape[1]):
-        try:
-            out[:, j] = solve(fct, block[:, j])
-        except CircKRError as err:
-            wrapped = type(err)(f"right-hand side column {j + 1}: {err.detail}")
-            wrapped.__dict__.update(err.__dict__)
-            wrapped.detail = f"right-hand side column {j + 1}: {err.detail}"
-            raise wrapped from None
-    return out
+    if block.shape[1] == 0:
+        return np.empty_like(block)
+    columns = block.T
+    peak = np.maximum(
+        np.maximum.reduce(columns, axis=1), -np.minimum.reduce(columns, axis=1)
+    )
+    finite = np.isfinite(peak)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise _not_finite(columns[j], f"right-hand side column {j + 1}: ")
+    # The kernel works on one (k, n) buffer whose rows are the columns.
+    out = columns.copy()
+    return _solve(fct, out, np.frexp(peak)[1][:, None], out=out).T

@@ -55,6 +55,21 @@ class TestFactorizationContainer:
         assert fct.n == 5
         assert_array_equal(fct.f, f)
 
+    def test_read_only_arrays_are_kept_and_others_copied(self):
+        spec = SystemSpec(5, 5.0, 2.0)
+        built = decompose(spec)
+        # decompose hands over arrays nobody else holds, already read-only.
+        assert Factorization(spec, built.f, built.r, built.g).f is built.f
+        f, r = built.f.copy(), built.r.copy()
+        fct = Factorization(spec, f, r, built.g)
+        assert f.flags.writeable and r.flags.writeable
+        f[1] = r[0] = 99.0
+        assert fct.f[1] == 1.0 and fct.r[0] == built.r[0]
+        # A read-only view of writable memory is copied too.
+        view = f[:]
+        view.flags.writeable = False
+        assert Factorization(spec, view, built.r, built.g).f is not view
+
     def test_shape_validation(self):
         spec = SystemSpec(5, 5.0, 2.0)
         f = generate_f(spec, 6)

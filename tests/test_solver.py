@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from circkr import (
@@ -14,11 +18,12 @@ from circkr import (
     decompose,
     decompose_tridiagonal,
     dense_solve,
+    growth_ratio,
     solve,
     solve_many,
 )
 
-from grids import GRID_A, GRID_D, infinity_norm
+from grids import GRID_A, GRID_D, grid_cases, infinity_norm
 
 SOLVE_N = (3, 4, 5, 8, 16, 64, 200)
 
@@ -189,3 +194,137 @@ def test_large_rhs_does_not_overflow(spec, exponent):
     residual = spec.c * x + spec.a * (np.roll(x, 1) + np.roll(x, -1)) - big
     norm_a = abs(spec.c) + 2.0 * abs(spec.a)
     assert np.abs(residual).max() <= 1e-14 * norm_a * np.abs(x).max()
+
+
+def _factorize(spec, circulant):
+    return decompose(spec) if circulant else decompose_tridiagonal(spec)
+
+
+def _backward_error(spec, x, b, circulant):
+    """Normwise backward error of x for A x = b, per column, from the stencil."""
+    left, right = np.roll(x, 1, axis=0), np.roll(x, -1, axis=0)
+    if not circulant:
+        left[0] = right[-1] = 0.0
+    residual = spec.c * x + spec.a * (left + right) - b
+    norm_a = abs(spec.c) + 2.0 * abs(spec.a)
+    scale = norm_a * np.abs(x).max(axis=0) + np.abs(b).max(axis=0)
+    return np.abs(residual).max(axis=0) / scale
+
+
+def _max_safe_n(d):
+    try:
+        decompose(SystemSpec(10**6, d, 1.0))
+    except GrowthOverflowError as err:
+        return err.max_safe_n
+    raise AssertionError(f"the recurrence does not overflow at d = {d}")
+
+
+VARIANT_IDS = ["circulant", "tridiagonal"]
+
+
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+@pytest.mark.parametrize(
+    "spec",
+    [SystemSpec(154, 1e-198, 1e-200), SystemSpec(3174, 2.05e-300, 1e-300)],
+    ids=["d100-n154-a1e-200", "d2.05-n3174-a1e-300"],
+)
+def test_tiny_off_diagonal_does_not_overflow(spec, circulant):
+    # cond(A) is about 1.05, but |f_n| is within a few decades of the
+    # 64-bit limit, so dividing b by a tiny a before the prefix sum would
+    # push f * b / a out of range.
+    b = np.random.default_rng(11).standard_normal(spec.n)
+    x = solve(_factorize(spec, circulant), b)
+    assert _backward_error(spec, x, b, circulant) <= 1e-14
+
+
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+@pytest.mark.parametrize(
+    "n, c, a",
+    [
+        (154, 1e202, 1e200),
+        (65536, 2.0001e150, -1e150),
+        (3, 1e100, 1.0),
+        (4, 1e70, 1.0),
+        (153, 100.0, 1.0),
+        (154, 100.0, 1.0),
+        (153, -100.0, 1.0),
+        (154, -100.0, 1.0),
+        (None, -2.0001, 1.0),
+    ],
+    ids=lambda v: "max-safe-n" if v is None else repr(v),
+)
+def test_closed_form_keeps_precision_at_range_edges(n, c, a, circulant):
+    # Here |f_i| nears the largest double.  b_k takes the sign of f_k, so the
+    # prefix sums of f_k b_k do not cancel and reach about |f_n| / (1 - 1/rho);
+    # they, u_i = x_i / f_i and the terms (x_n - y_k) / (f_k f_{k+1}) stay in
+    # the normal range only because the solve works on a rescaled f.
+    spec = SystemSpec(n or _max_safe_n(c / a), c, a)
+    fct = _factorize(spec, circulant)
+    rng = np.random.default_rng(12)
+    b = np.sign(fct.f[1 : spec.n + 1]) * rng.uniform(0.5, 1.0, spec.n)
+    x = solve(fct, b)
+    assert _backward_error(spec, x, b, circulant) <= 1e-14
+
+
+def test_block_counts_each_column():
+    fct = decompose(SystemSpec(64, 5.0, 2.0))
+    block = np.ones((64, 3))
+    with count_operations() as one:
+        solve(fct, block[:, 0])
+    with count_operations() as three:
+        solve_many(fct, block)
+    assert three.total == 3 * one.total
+
+
+@st.composite
+def _systems(draw):
+    d = draw(st.sampled_from([-1.0, 1.0])) * (2.0 + 10.0 ** draw(st.floats(-3.0, 2.0)))
+    # Keep |f_{n+1}| finite: it grows like growth_ratio(d) ** n.
+    limit = int(1020 * math.log(2.0) / math.log(growth_ratio(d))) - 2
+    n = min(draw(st.integers(3, 4096)), limit)
+    a = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-200.0, 200.0))
+    spec = SystemSpec(n, d * a, a)
+    k = draw(st.integers(1, 4))
+    block = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, k))
+    return spec, draw(st.booleans()), block
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems())
+def test_block_solve_is_backward_stable_and_matches_columns(system):
+    spec, circulant, block = system
+    fct = _factorize(spec, circulant)
+    x = solve_many(fct, block)
+    assert (_backward_error(spec, x, block, circulant) <= 1e-13).all()
+    for j in range(block.shape[1]):
+        assert np.array_equal(x[:, j], solve(fct, block[:, j]))
+
+
+def _reference_solve(fct, b):
+    """The per-element back-substitution loop that the closed form replaced."""
+    n, f = fct.n, fct.f
+    y = np.cumsum(f[1 : n + 1] * (b / fct.spec.a))
+    x = np.empty(n)
+    if fct.g is not None:
+        y[n - 1] += fct.r @ y[: n - 1]
+        x_n = x[n - 1] = y[n - 1] / fct.g
+        x[n - 2] = (y[n - 2] - (f[n - 1] + 1.0) * x_n) / (-f[n])
+        for i in range(n - 3, -1, -1):
+            x[i] = (y[i] - f[i + 1] * x[i + 1] - x_n) / (-f[i + 2])
+    else:
+        x[n - 1] = y[n - 1] / (-f[n + 1])
+        for i in range(n - 2, -1, -1):
+            x[i] = (y[i] - f[i + 1] * x[i + 1]) / (-f[i + 2])
+    return x
+
+
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+def test_closed_form_matches_reference_loop(circulant):
+    # Both evaluate the same recurrence in a different order; 64 eps of the
+    # solution's scale bounds the difference on the whole stress grid.
+    for index, (n, d, a) in enumerate(grid_cases()):
+        fct = _factorize(SystemSpec(n, d * a, a), circulant)
+        b = np.random.default_rng(700 + index).standard_normal(n)
+        expected = _reference_solve(fct, b)
+        tol = 64 * np.finfo(float).eps * np.abs(expected).max()
+        assert np.abs(solve(fct, b) - expected).max() <= tol, (n, d, a)
