@@ -51,9 +51,9 @@ def _csv_rows(matrix, precision):
     return [", ".join(_fmt(v, precision) for v in row) for row in matrix]
 
 
-def _spec_from(ns):
+def _spec(n, c, a):
     strict = os.environ.get("CIRCKR_STRICT", "1") != "0"
-    return SystemSpec(n=ns.n, c=ns.c, a=ns.a, strict=strict)
+    return SystemSpec(n=n, c=c, a=a, strict=strict)
 
 
 def _factorize(spec, variant):
@@ -96,7 +96,7 @@ def _read_rhs(path, n):
 
 
 def cmd_decompose(ns):
-    spec = _spec_from(ns)
+    spec = _spec(ns.n, ns.c, ns.a)
     fct = _factorize(spec, ns.variant)
     lines = [
         f"order n = {spec.n}",
@@ -121,7 +121,7 @@ def cmd_decompose(ns):
 
 
 def cmd_solve(ns):
-    spec = _spec_from(ns)
+    spec = _spec(ns.n, ns.c, ns.a)
     fct = _factorize(spec, ns.variant)
     rhs = _read_rhs(ns.rhs, spec.n)
     if rhs.ndim == 1:
@@ -135,7 +135,7 @@ def cmd_solve(ns):
 
 
 def cmd_invert(ns):
-    spec = _spec_from(ns)
+    spec = _spec(ns.n, ns.c, ns.a)
     fct = _factorize(spec, ns.variant)
     if ns.mode == "first-row":
         row = inverse_first_row(fct)
@@ -147,7 +147,7 @@ def cmd_invert(ns):
 
 
 def cmd_check(ns):
-    spec = _spec_from(ns)
+    spec = _spec(ns.n, ns.c, ns.a)
     fct = _factorize(spec, ns.variant)
     dense = build_dense(spec, variant=ns.variant)
     scale = np.abs(dense).max()
@@ -195,13 +195,12 @@ def cmd_bench(ns):
         raise UsageError("--sizes must name at least one order")
     if ns.reps < 1:
         raise UsageError("--reps must be at least 1")
-    strict = os.environ.get("CIRCKR_STRICT", "1") != "0"
     print(f"benchmark: structured solve, d = {_exact(ns.d)}, "
           f"median of {ns.reps} repetitions")
     print(f"{'n':>8} {'factor_s':>12} {'solve_s':>12} {'ns_per_unknown':>16}")
     medians = []
     for n in sizes:
-        spec = SystemSpec(n=n, c=ns.d, a=1.0, strict=strict)
+        spec = _spec(n, ns.d, 1.0)
         t0 = time.perf_counter()
         fct = decompose(spec)
         factor_s = time.perf_counter() - t0
@@ -220,25 +219,23 @@ def cmd_bench(ns):
     return 0
 
 
-def _add_system_arguments(parser, variant=True, precision=True, out=True):
+def _add_system_arguments(parser, payload=True):
     parser.add_argument("--n", type=int, required=True, help="matrix order (>= 3)")
     parser.add_argument("--c", type=float, required=True, help="diagonal value")
     parser.add_argument("--a", type=float, required=True, help="off-diagonal value")
-    if variant:
-        parser.add_argument(
-            "--variant",
-            choices=("circulant", "tridiagonal"),
-            default="circulant",
-            help="matrix family (default circulant)",
-        )
-    if precision:
+    parser.add_argument(
+        "--variant",
+        choices=("circulant", "tridiagonal"),
+        default="circulant",
+        help="matrix family (default circulant)",
+    )
+    if payload:
         parser.add_argument(
             "--precision",
             type=int,
             default=6,
             help="significant digits for payload scalars (default 6)",
         )
-    if out:
         parser.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
@@ -265,7 +262,7 @@ def _build_parser():
     p.set_defaults(func=cmd_invert)
 
     p = commands.add_parser("check", help="print residual diagnostics")
-    _add_system_arguments(p, precision=False, out=False)
+    _add_system_arguments(p, payload=False)
     p.set_defaults(func=cmd_check)
 
     p = commands.add_parser("bench", help="time the structured solve across orders")

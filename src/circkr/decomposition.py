@@ -12,6 +12,7 @@ from .factors import (
     CIRCULANT,
     TRIDIAGONAL,
     Factorization,
+    _r_pass,
     materialize,
 )
 from .recurrence import SystemSpec, compute_g, generate_f, generate_r
@@ -59,14 +60,16 @@ def decompose_tridiagonal(spec: SystemSpec) -> Factorization:
 def reconstruct(fct: Factorization) -> np.ndarray:
     """Rebuild the dense matrix from its factors (verification path).
 
-    Applies R^-1 (one rank-one row update) and K^-1 (a first-difference
-    sweep) row by row to A1^T in place, then scales by a: O(n^2) and one
-    n x n buffer after the core factor is materialized.  Capped at 10**4.
+    Applies R^-1 (the solver's R pass) and K^-1 (a first-difference sweep)
+    row by row to A1^T in place, then scales by a: O(n^2) and one n x n
+    buffer after the core factor is materialized.  Capped at 10**4.
     """
     n = fct.spec.n
     out = materialize(fct, "A1").T
     if fct.variant == CIRCULANT:
-        out[n - 1] -= fct.r @ out[: n - 1]
+        _r_pass(fct, out.T, -1.0)
+    # K^-1 runs in place downward; apply_k_inverse's vector form would need
+    # an n x n temporary here.
     for i in range(n - 1, 0, -1):
         out[i] -= out[i - 1]
     out /= fct.f[1 : n + 1][:, None]

@@ -30,11 +30,11 @@ at reconstruction or solve time):
            variant: pure lower bidiagonal with diagonal (-f_2 .. -f_{n+1})
            and subdiagonal (f_1 .. f_{n-1}).
 
-Applying K, K^-1, R, R^-1 to a vector costs O(n), and so does solving
-A1^T x = y: dividing row i of that system by f_i f_{i+1} turns it into
+Applying K, K^-1, R or R^-1 to a vector costs O(n); K and R are one
+in-place pass each, shared by the solver and reconstruct.  Solving
+A1^T x = y is O(n) too: row i divided by f_i f_{i+1} reads
 u_i = u_{i+1} - (y_i - x_n) / (f_i f_{i+1}) for u_i = x_i / f_i, one
-reversed prefix sum.  Materialization is for verification and reporting;
-it is capped at order 10**4.
+reversed prefix sum.  Materialization (for verification) is capped at 10**4.
 """
 
 import contextlib
@@ -162,13 +162,10 @@ def _read_only(x):
 
 
 class OperationCounter:
-    """Accumulates the elements that a solve's vectorized passes touch."""
+    """Accumulates the elements that the factor passes transform."""
 
     def __init__(self):
         self.total = 0
-
-    def add(self, amount):
-        self.total += int(amount)
 
 
 _counter = None
@@ -178,9 +175,9 @@ _counter = None
 def count_operations():
     """Context manager instrumenting solves made inside it.
 
-    Yields an OperationCounter whose ``total`` grows by the element count
-    of every vectorized pass a solve runs, so a block of k columns counts
-    k times.  Used to check that the solve does O(n) work.
+    Yields an OperationCounter whose ``total`` grows by the size of the
+    buffer each K, R or A1^T pass transforms, so a block of k columns
+    counts k times.  Used to check that the solve does O(n) work.
     """
     global _counter
     previous = _counter
@@ -191,10 +188,9 @@ def count_operations():
         _counter = previous
 
 
-def _tally(*written):
-    """Count vectorized passes by the arrays they wrote, one per pass."""
+def _tally(buffer):
     if _counter is not None:
-        _counter.add(sum(w.size for w in written))
+        _counter.total += buffer.size
 
 
 def _check_vector(fct, x, name="x"):
@@ -222,14 +218,26 @@ def _guard_dense(n):
         )
 
 
-def apply_k(fct, x):
-    """y = K x via one running prefix accumulation, O(n).
+def _k_pass(fct, out):
+    """y = K x in place along the last axis: one prefix sum of f_i x_i."""
+    np.multiply(out, fct._plan.pivots, out)
+    np.add.accumulate(out, -1, None, out)
+    _tally(out)
+    return out
 
-    y_i = sum_{j<=i} f_j x_j.
-    """
-    x = _check_vector(fct, x)
-    n = fct.spec.n
-    return np.cumsum(fct.f[1 : n + 1] * x)
+
+def _r_pass(fct, out, sign=1.0):
+    """y_n += sign * r . y[:n-1] in place along the last axis: R or R^-1."""
+    head = out[..., :-1]
+    # einsum sums in numpy's own loop; a BLAS dot may wake worker threads.
+    out.T[-1] += sign * np.einsum("...i,i->...", head, fct.r)
+    _tally(head)
+    return out
+
+
+def apply_k(fct, x):
+    """y = K x, y_i = sum_{j<=i} f_j x_j: one prefix accumulation, O(n)."""
+    return _k_pass(fct, _check_vector(fct, x).copy())
 
 
 def apply_k_inverse(fct, y):
@@ -248,19 +256,13 @@ def apply_k_inverse(fct, y):
 def apply_r(fct, x):
     """y = R x: identity except y_n = sum_j r_j x_j + x_n.  Circulant only."""
     _require_circulant(fct, "the corner factor R")
-    x = _check_vector(fct, x)
-    y = x.copy()
-    y[-1] = float(fct.r @ x[:-1]) + x[-1]
-    return y
+    return _r_pass(fct, _check_vector(fct, x).copy())
 
 
 def apply_r_inverse(fct, x):
     """y = R^-1 x: the same rank-one update with the r block negated."""
     _require_circulant(fct, "the corner factor R")
-    x = _check_vector(fct, x)
-    y = x.copy()
-    y[-1] = x[-1] - float(fct.r @ x[:-1])
-    return y
+    return _r_pass(fct, _check_vector(fct, x).copy(), -1.0)
 
 
 def _solve_a1_transpose(fct, out, scale):
@@ -300,7 +302,7 @@ def _solve_a1_transpose(fct, out, scale):
     backward = out[..., ::-1]
     np.add.accumulate(backward, -1, None, backward)
     np.multiply(out, plan.pivots, out)
-    _tally(body, body, out, body, out, out)
+    _tally(out)
     return out
 
 
@@ -322,7 +324,10 @@ def a1_inverse_last_row(fct):
 
 def _dense_k(fct):
     n = fct.spec.n
-    return np.tril(np.broadcast_to(fct.f[1 : n + 1], (n, n)))
+    out = np.zeros((n, n))
+    for i in range(n):
+        out[i, : i + 1] = fct.f[1 : i + 2]
+    return out
 
 
 def _dense_k_inverse(fct):

@@ -4,9 +4,9 @@ The inverse of a symmetric circulant matrix is again symmetric circulant,
 so the circulant variant's dense inverse is the cyclic expansion of its
 first row, which one O(n) structured solve yields.  The tridiagonal
 variant's inverse is the symmetric semiseparable matrix with entries
--f_min(i,j) * G_max(i,j) / a, filled as one outer product whose upper
-triangle is mirrored into the lower one.  Neither path needs a general
-matrix multiply or any n x n scratch array beyond the result.
+-f_min(i,j) * G_max(i,j) / a: one outer product, its lower triangle
+rewritten row by row with the mirrored products.  Neither path needs a
+general matrix multiply or any n x n scratch array beyond the result.
 """
 
 import numpy as np
@@ -43,9 +43,10 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
     suffix = np.zeros(n + 2)
     for m in range(n, 0, -1):
         suffix[m] = 1.0 / f[m + 1] + (f[m] / f[m + 1]) * suffix[m + 1]
-    out = np.multiply.outer(-f[1 : n + 1], suffix[1 : n + 1])
+    minus_f = -f[1 : n + 1]
+    out = np.multiply.outer(minus_f, suffix[1 : n + 1])
     for i in range(1, n):
-        out[i, :i] = out[:i, i]
+        np.multiply(minus_f[:i], suffix[i + 1], out[i, :i])
     out /= fct.spec.a
     return out
 

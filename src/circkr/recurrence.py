@@ -153,10 +153,7 @@ def generate_f(source, m):
     prev = 0.0
     cur = 1.0
     for i in range(1, m):
-        try:
-            nxt = -d * cur - prev
-        except OverflowError:
-            nxt = math.inf
+        nxt = -d * cur - prev  # float arithmetic overflows to inf or nan
         if not math.isfinite(nxt):
             raise GrowthOverflowError(
                 f"f_{i + 1} exceeds the 64-bit range for d = {d} "

@@ -5,9 +5,9 @@ vectorized passes over one output buffer, for one right-hand side or a
 block of k of them (held as the rows of a (k, n) buffer):
 
     b / 2**(e + s)            exact rescale; b / 2**e lies in [-1, 1)
-    y = K (b / 2**(e + s))    one prefix sum of f_i b_i
-    y_n += r . y[:n-1]        the closure row of R (circulant only)
-    A1^T x = y                one reversed prefix sum (``_solve_a1_transpose``)
+    y = K (b / 2**(e + s))    ``_k_pass``: one prefix sum of f_i b_i
+    y = R y                   ``_r_pass``: y_n += r . y[:n-1] (circulant only)
+    A1^T x = y                ``_solve_a1_transpose``: one reversed prefix sum
     x * 2**(e + s) / a        exact rescale, a's mantissa applied on the way
 
 The back substitution needs no per-element loop: with u_i = x_i / f_i,
@@ -29,8 +29,9 @@ from .factors import (
     CIRCULANT,
     Factorization,
     _check_vector,
+    _k_pass,
+    _r_pass,
     _solve_a1_transpose,
-    _tally,
     count_operations,
 )
 
@@ -55,18 +56,13 @@ def _solve(fct, rhs, e, out=None):
     """
     plan = fct._plan
     out = np.ldexp(rhs, -(e + plan.shift), out)
-    np.multiply(out, plan.pivots, out)
-    np.add.accumulate(out, -1, None, out)
+    _k_pass(fct, out)
     if fct.variant == CIRCULANT:
-        head = out[..., :-1]
-        # einsum sums in numpy's own loop; a BLAS dot may wake worker threads.
-        out.T[-1] += np.einsum("...i,i->...", head, fct.r)
-        _tally(head)
+        _r_pass(fct, out)
     _solve_a1_transpose(fct, out, plan.a_scale)
     np.ldexp(out, e + plan.a_unshift, out)
     # A sum is non-finite whenever an entry is; only then look entry by entry.
     total = np.add.reduce(out, None)
-    _tally(out, out, out, out, out)
     if not math.isfinite(total) and not np.isfinite(out).all():
         raise GrowthOverflowError("back substitution left the 64-bit range")
     return out

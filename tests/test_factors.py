@@ -21,7 +21,7 @@ from circkr import (
 )
 from circkr.factors import FACTOR_NAMES, a1_inverse_last_row
 
-from grids import IDENTITY_N
+from grids import IDENTITY_N, peak_doubles
 
 SAMPLE_D = (2.05, -2.05, 2.5, -5.0, 100.0)
 
@@ -208,3 +208,17 @@ class TestDenseForms:
         fake = Factorization(spec, np.ones(n + 2), np.ones(n - 1), 1.0)
         with pytest.raises(SizeGuardError):
             materialize(fake, "K")
+
+
+@pytest.mark.parametrize(
+    "variant, name",
+    [(v, name) for v in (CIRCULANT, TRIDIAGONAL) for name in FACTOR_NAMES
+     if v == CIRCULANT or not name.startswith("R")],  # tridiagonal R = I
+)
+def test_every_factor_peaks_at_one_buffer(variant, name):
+    # Each dense factor is written into its n x n result and nothing of
+    # that size besides: no mask, broadcast copy or index grid.
+    n = 512
+    make = decompose if variant == CIRCULANT else decompose_tridiagonal
+    fct = make(SystemSpec(n, 2.05, 1.0))
+    assert peak_doubles(materialize, fct, name) <= 1.05 * n * n

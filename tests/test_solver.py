@@ -22,6 +22,7 @@ from circkr import (
     solve,
     solve_many,
 )
+from circkr.factors import a1_inverse_last_row, apply_k, apply_r
 
 from grids import GRID_A, GRID_D, grid_cases, infinity_norm
 
@@ -174,6 +175,20 @@ class TestOperationCount:
             assert inner.total == first
             assert outer.total == first
         assert first > 0
+
+    def test_factor_actions_count_their_share_of_the_solve(self):
+        # The solve is the K pass, the R pass and the A1^T back substitution;
+        # the public actions run the same passes and count the same work.
+        fct = decompose(SystemSpec(64, 5.0, 2.0))
+        b = np.ones(64)
+        with count_operations() as k_and_r:
+            apply_r(fct, apply_k(fct, b))
+        with count_operations() as back:
+            a1_inverse_last_row(fct)
+        with count_operations() as whole:
+            solve(fct, b)
+        assert k_and_r.total > 0
+        assert whole.total == k_and_r.total + back.total
 
 
 @pytest.mark.parametrize(
