@@ -38,6 +38,7 @@ reversed prefix sum.  Materialization (for verification) is capped at 10**4.
 """
 
 import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -168,7 +169,8 @@ class OperationCounter:
         self.total = 0
 
 
-_counter = None
+# Each thread (and asyncio task) sees only the counter its own scope opened.
+_counter = contextvars.ContextVar("circkr_operation_counter", default=None)
 
 
 @contextlib.contextmanager
@@ -177,20 +179,21 @@ def count_operations():
 
     Yields an OperationCounter whose ``total`` grows by the size of the
     buffer each K, R or A1^T pass transforms, so a block of k columns
-    counts k times.  Used to check that the solve does O(n) work.
+    counts k times.  Used to check that the solve does O(n) work.  The
+    scope is per context: solves on other threads are not counted.
     """
-    global _counter
-    previous = _counter
-    _counter = counter = OperationCounter()
+    counter = OperationCounter()
+    token = _counter.set(counter)
     try:
         yield counter
     finally:
-        _counter = previous
+        _counter.reset(token)
 
 
 def _tally(buffer):
-    if _counter is not None:
-        _counter.total += buffer.size
+    counter = _counter.get()
+    if counter is not None:
+        counter.total += buffer.size
 
 
 def _check_vector(fct, x, name="x"):

@@ -9,11 +9,13 @@ rewritten row by row with the mirrored products.  Neither path needs a
 general matrix multiply or any n x n scratch array beyond the result.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import VariantMismatchError
-from .factors import CIRCULANT, Factorization, _guard_dense
+from .factors import CIRCULANT, Factorization, _guard_dense, _solve_a1_transpose
 from .solver import solve
 
 
@@ -25,10 +27,10 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
     mean, a roundoff-level change) and expanded cyclically, row i being v
     rolled right by i.
 
-    Tridiagonal variant: writing G_m = f_m * sum_{k=m}^{n} 1/(f_k f_{k+1})
-    (computed by the stable downward recursion
-    G_m = 1/f_{m+1} + (f_m/f_{m+1}) G_{m+1} so that no intermediate product
-    can overflow or underflow), entry (i, j) is -f_min(i,j) * G_max(i,j) / a.
+    Tridiagonal variant: writing G_m = f_m * sum_{k=m}^{n} 1/(f_k f_{k+1}),
+    entry (i, j) is -f_min(i,j) * G_max(i,j) / a.  G solves A1^T G = -1, so
+    it comes from the solver's back substitution, run on the working scale
+    4**s that keeps every term of its suffix sums in the normal range.
 
     Capped at order 10**4.
     """
@@ -39,14 +41,13 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
         v[1:] = (v[1:] + v[:0:-1]) / 2.0
         # Window s of (v_1 .. v_{n-1}, v_0 .. v_{n-1}) is v rolled right by n-1-s.
         return sliding_window_view(np.concatenate((v[1:], v)), n)[::-1].copy()
-    f = fct.f
-    suffix = np.zeros(n + 2)
-    for m in range(n, 0, -1):
-        suffix[m] = 1.0 / f[m + 1] + (f[m] / f[m + 1]) * suffix[m + 1]
-    minus_f = -f[1 : n + 1]
-    out = np.multiply.outer(minus_f, suffix[1 : n + 1])
+    s = fct._plan.shift
+    G = _solve_a1_transpose(fct, np.full(n, -1.0), math.ldexp(1.0, 2 * s))
+    np.ldexp(G, -2 * s, G)
+    minus_f = -fct.f[1 : n + 1]
+    out = np.multiply.outer(minus_f, G)
     for i in range(1, n):
-        np.multiply(minus_f[:i], suffix[i + 1], out[i, :i])
+        np.multiply(minus_f[:i], G[i], out[i, :i])
     out /= fct.spec.a
     return out
 

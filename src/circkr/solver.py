@@ -74,7 +74,7 @@ def solve(fct: Factorization, b) -> np.ndarray:
     The right-hand side must be finite everywhere; NaN or infinity is
     rejected eagerly rather than silently propagated.
     """
-    b = _check_vector(fct, b, name="b")
+    b = _check_vector(fct, b, name="right-hand side")
     # NaN and infinity propagate into peak.
     peak = max(np.maximum.reduce(b), -np.minimum.reduce(b))
     if not math.isfinite(peak):
@@ -85,11 +85,11 @@ def solve(fct: Factorization, b) -> np.ndarray:
 def solve_many(fct: Factorization, block) -> np.ndarray:
     """Solve one factorization against every column of ``block`` in O(n k).
 
-    Returns an (n, k) array; k = 0 returns an empty solution block
-    immediately.  All columns run through the same vectorized passes at
-    once, and column j of the result is bit-identical to
-    ``solve(fct, block[:, j])``.  Non-finite entries are looked for before
-    any work is done, and the error names the first column holding one.
+    Returns an (n, k) array, empty for k = 0.  All columns run through the
+    same vectorized passes at once, and column j of the result is
+    bit-identical to ``solve(fct, block[:, j])``.  Non-finite entries are
+    looked for before any work is done, and the error names the first
+    column holding one.
     """
     block = np.asarray(block, dtype=float)
     n = fct.spec.n
@@ -97,8 +97,6 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side block must have shape ({n}, k), got {block.shape}"
         )
-    if block.shape[1] == 0:
-        return np.empty_like(block)
     columns = block.T
     peak = np.maximum(
         np.maximum.reduce(columns, axis=1), -np.minimum.reduce(columns, axis=1)

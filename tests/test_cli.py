@@ -139,6 +139,12 @@ class TestSolveCommand:
         assert run_cli("solve", *FIXTURE, "--rhs", str(rhs)) == 5
         assert capsys.readouterr().err.startswith("ERROR DimensionMismatch:")
 
+    def test_wrong_row_count_block(self, capsys, tmp_path):
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("1 2\n3 4\n")
+        assert run_cli("solve", *FIXTURE, "--rhs", str(rhs)) == 5
+        assert capsys.readouterr().err.startswith("ERROR DimensionMismatch: right-hand side")
+
     def test_non_finite_rhs(self, capsys, tmp_path):
         rhs = tmp_path / "rhs.txt"
         rhs.write_text("1\nnan\n0\n0\n0\n")
@@ -285,6 +291,24 @@ class TestProcessLevel:
         proc = module_run(["solve", *FIXTURE, "--rhs", str(rhs)])
         assert proc.returncode == 5
         assert proc.stderr.splitlines()[0].startswith("ERROR DimensionMismatch:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--n", "64", "--c", "2.5e-300", "--a", "1e-300"],
+            ["invert", "--mode", "first-row", "--n", "64", "--c", "2.5e-310", "--a", "1e-310"],
+        ],
+        ids=["solve", "first-row"],
+    )
+    def test_overflow_error_is_the_only_stderr_line(self, tmp_path, args):
+        # The solution overflows; no float warning may print before the ERROR line.
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("1e300\n" * 64)
+        proc = module_run([*args, "--rhs", str(rhs)] if args[0] == "solve" else args)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines()[0].startswith("ERROR Overflow:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
 
     def test_size_guard_exit_status(self):
         # Slow growth keeps the factorization finite at this order, so the

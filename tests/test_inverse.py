@@ -176,6 +176,19 @@ def test_inverse_dense_peak_memory(decomposer):
     assert peak_doubles(inverse_dense, fct) <= 1.2 * n * n
 
 
+@pytest.mark.parametrize(
+    "n, d, a", [(154, 100.0, 1e-200), (1022, 2.5, 1.0)], ids=["d100-n154", "d2.5-n1022"]
+)
+def test_tridiagonal_inverse_at_the_edge_of_the_range(n, d, a):
+    # |f_{n+1}| is near the largest double, so the suffix sums run on a
+    # working scale of 2**1022.
+    spec = _spec(n, d, a)
+    inv = inverse_dense(decompose_tridiagonal(spec))
+    assert np.array_equal(inv, inv.T)
+    dense = build_dense(spec, variant=TRIDIAGONAL)
+    assert np.abs(inv @ dense - np.eye(n)).max() <= 1e-10
+
+
 def test_circulant_inverse_rows_are_exact_rolls():
     inv = inverse_dense(decompose(SystemSpec(37, -5.5, 2.0)))
     assert np.array_equal(inv, inv.T)

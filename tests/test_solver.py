@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -139,7 +141,7 @@ def test_rejects_non_finite_rhs():
 
 def test_rejects_wrong_length():
     fct = decompose(SystemSpec(5, 5.0, 2.0))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="right-hand side must be a vector"):
         solve(fct, np.ones(6))
 
 
@@ -190,6 +192,35 @@ class TestOperationCount:
         assert k_and_r.total > 0
         assert whole.total == k_and_r.total + back.total
 
+    def test_counter_ignores_other_threads(self):
+        fct = decompose(SystemSpec(2048, 2.0002, 1.0))
+        b = np.ones(2048)
+        with count_operations() as alone:
+            solve(fct, b)
+        stop = threading.Event()
+        finished = []
+
+        def background():
+            while not stop.is_set():
+                solve(fct, b)
+                finished.append(None)
+
+        worker = threading.Thread(target=background)
+        worker.start()
+        try:
+            with count_operations() as counter:
+                solve(fct, b)
+                # Hold the scope open while the other thread completes a solve.
+                seen = len(finished)
+                deadline = time.monotonic() + 30.0
+                while len(finished) < seen + 2 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+        finally:
+            stop.set()
+            worker.join()
+        assert len(finished) >= seen + 2
+        assert counter.total == alone.total
+
 
 @pytest.mark.parametrize(
     "spec, exponent",
@@ -235,6 +266,23 @@ def _max_safe_n(d):
 
 
 VARIANT_IDS = ["circulant", "tridiagonal"]
+
+
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+@pytest.mark.parametrize("many", [False, True], ids=["solve", "solve_many"])
+# The library still lets numpy warn about the overflow before it raises.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solution_beyond_the_64_bit_range_raises(circulant, many):
+    # Every input is finite and cond(A) is about 9, but x is about
+    # b / (c + 2a) = 1e300 / 4.5e-300, which no double holds.
+    spec = SystemSpec(64, 2.5e-300, 1e-300)
+    fct = _factorize(spec, circulant)
+    b = np.full(64, 1e300)
+    with pytest.raises(GrowthOverflowError, match="back substitution left the 64-bit"):
+        if many:
+            solve_many(fct, b[:, None])
+        else:
+            solve(fct, b)
 
 
 @pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
