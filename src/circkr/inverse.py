@@ -9,13 +9,11 @@ rewritten row by row with the mirrored products.  Neither path needs a
 general matrix multiply or any n x n scratch array beyond the result.
 """
 
-import math
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import VariantMismatchError
-from .factors import CIRCULANT, Factorization, _guard_dense, _solve_a1_transpose
+from .errors import GrowthOverflowError, VariantMismatchError
+from .factors import CIRCULANT, Factorization, _guard_dense, _solve_a1_transpose_unit
 from .solver import solve
 
 
@@ -29,8 +27,8 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
 
     Tridiagonal variant: writing G_m = f_m * sum_{k=m}^{n} 1/(f_k f_{k+1}),
     entry (i, j) is -f_min(i,j) * G_max(i,j) / a.  G solves A1^T G = -1, so
-    it comes from the solver's back substitution, run on the working scale
-    4**s that keeps every term of its suffix sums in the normal range.
+    it comes from the solver's back substitution.  GrowthOverflowError is
+    raised before the fill if the largest entry leaves the 64-bit range.
 
     Capped at order 10**4.
     """
@@ -41,10 +39,12 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
         v[1:] = (v[1:] + v[:0:-1]) / 2.0
         # Window s of (v_1 .. v_{n-1}, v_0 .. v_{n-1}) is v rolled right by n-1-s.
         return sliding_window_view(np.concatenate((v[1:], v)), n)[::-1].copy()
-    s = fct._plan.shift
-    G = _solve_a1_transpose(fct, np.full(n, -1.0), math.ldexp(1.0, 2 * s))
-    np.ldexp(G, -2 * s, G)
+    G = _solve_a1_transpose_unit(fct, np.full(n, -1.0))
     minus_f = -fct.f[1 : n + 1]
+    # Largest entry: |f_i| max_{j>=i} |G_j| / |a|; a float division gives inf silently.
+    peak = np.max(np.abs(minus_f) * np.maximum.accumulate(np.abs(G)[::-1])[::-1])
+    if not np.isfinite(float(peak) / abs(fct.spec.a)):
+        raise GrowthOverflowError("the tridiagonal inverse leaves the 64-bit range")
     out = np.multiply.outer(minus_f, G)
     for i in range(1, n):
         np.multiply(minus_f[:i], G[i], out[i, :i])

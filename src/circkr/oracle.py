@@ -54,7 +54,7 @@ def dense_solve(matrix, rhs):
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got shape {work.shape}")
     n = work.shape[0]
-    b = np.asarray(rhs, dtype=float)
+    b = np.array(rhs, dtype=float)
     single = b.ndim == 1
     if single:
         b = b[:, None]
@@ -62,7 +62,6 @@ def dense_solve(matrix, rhs):
         raise DimensionMismatchError(
             f"right-hand side must have leading dimension {n}, got shape {b.shape}"
         )
-    b = b.copy()
     pivot_floor = n * np.finfo(float).eps * max(np.abs(work).max(), np.finfo(float).tiny)
     for k in range(n):
         lead = k + int(np.argmax(np.abs(work[k:, k])))
@@ -109,12 +108,11 @@ def spectral_inverse_entry(spec, k):
 
 
 def spectral_inverse_first_row(spec):
-    """All n first-row entries of the circulant inverse, by the same sum."""
+    """The circulant inverse's first row: the same sum, as one inverse FFT."""
     if spec.n > DENSE_ORDER_LIMIT:
         raise SizeGuardError(
             f"spectral row evaluation is capped at order {DENSE_ORDER_LIMIT}, "
             f"got n = {spec.n}"
         )
-    angles, lam = _eigenvalues(spec)
-    inv = 1.0 / lam
-    return np.array([np.mean(np.cos(angles * k) * inv) for k in range(spec.n)])
+    _, lam = _eigenvalues(spec)
+    return np.fft.ifft(1.0 / lam).real

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from circkr import (
     Factorization,
+    GrowthOverflowError,
     SizeGuardError,
     SystemSpec,
     TRIDIAGONAL,
@@ -85,6 +87,16 @@ class TestFirstRow:
         reference = spectral_inverse_first_row(spec)
         scale = np.abs(row).max()
         assert np.abs(row - reference).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("n", [1024, 4096, 10_000])
+    @pytest.mark.parametrize("d", [2.0001, -2.0001])
+    def test_matches_spectral_oracle_at_large_orders(self, n, d):
+        # The FFT oracle makes these orders cheap; the bound is 64 kappa eps.
+        spec = _spec(n, d, 1.0)
+        row = inverse_first_row(decompose(spec))
+        kappa = (abs(d) + 2.0) / (abs(d) - 2.0)
+        bound = 64 * kappa * np.finfo(float).eps * np.abs(row).max()
+        assert np.abs(row - spectral_inverse_first_row(spec)).max() <= bound
 
     @pytest.mark.parametrize("n, d, a", SPOT_CHECKS)
     def test_palindrome_symmetry(self, n, d, a):
@@ -187,6 +199,17 @@ def test_tridiagonal_inverse_at_the_edge_of_the_range(n, d, a):
     assert np.array_equal(inv, inv.T)
     dense = build_dense(spec, variant=TRIDIAGONAL)
     assert np.abs(inv @ dense - np.eye(n)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n, c, a", [(8, 3e-310, 1e-310), (64, 2.5e-309, 1e-309)])
+def test_tridiagonal_inverse_beyond_the_range_raises(n, c, a):
+    # Entries f_i G_j / a overflow for a subnormal a; the error comes first,
+    # with no numpy warning ahead of it.
+    fct = decompose_tridiagonal(SystemSpec(n, c, a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GrowthOverflowError):
+            inverse_dense(fct)
 
 
 def test_circulant_inverse_rows_are_exact_rolls():

@@ -113,6 +113,15 @@ class TestSpectral:
                 row[k], rel=0, abs=1e-15
             )
 
+    @pytest.mark.parametrize("n", [9, 10, 255, 256])
+    @pytest.mark.parametrize("c, a", [(-7.0, 2.5), (2.0001, 1.0), (5.0, -2.0)])
+    def test_direct_sum_matches_fft_row(self, n, c, a):
+        # Two evaluations of one formula: a direct sum per entry, one FFT per row.
+        spec = SystemSpec(n, c, a)
+        row = spectral_inverse_first_row(spec)
+        direct = np.array([spectral_inverse_entry(spec, k) for k in range(n)])
+        assert np.abs(direct - row).max() <= 1e-12 * np.abs(row).max()
+
     def test_matches_dense_inverse(self):
         spec = SystemSpec(16, 6.0, -2.0)
         reference = np.linalg.inv(build_dense(spec))[0]

@@ -109,6 +109,19 @@ def test_solve_many_matches_columnwise():
         assert_allclose(got[:, j], solve(fct, block[:, j]), rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_solve_many_accepts_any_block_layout(layout):
+    fct = decompose(SystemSpec(33, -5.0, 2.0))
+    rng = np.random.default_rng(33)
+    if layout == "fortran":
+        block = np.asfortranarray(rng.standard_normal((33, 4)))
+    else:
+        block = rng.standard_normal((33, 12))[:, ::3]
+    got = solve_many(fct, block)
+    for j in range(4):
+        assert np.array_equal(got[:, j], solve(fct, block[:, j]))
+
+
 def test_solve_many_empty_block():
     fct = decompose(SystemSpec(5, 5.0, 2.0))
     out = solve_many(fct, np.empty((5, 0)))
