@@ -15,7 +15,7 @@ from .factors import (
     _r_pass,
     materialize,
 )
-from .recurrence import SystemSpec, compute_g, generate_f, generate_r
+from .recurrence import SystemSpec, _compute_g, _generate_r, generate_f
 
 
 def _f_for_order(spec):
@@ -45,8 +45,10 @@ def _frozen(*arrays):
 def decompose(spec: SystemSpec) -> Factorization:
     """Factorize the circulant variant of ``spec`` in O(n) time and storage."""
     f = _f_for_order(spec)
-    r = generate_r(f, spec.n)
-    g = compute_g(f, r, spec.n)
+    # generate_f returns f_0 .. f_{n+1} with f_1 = 1 and no zero pivot,
+    # which is all that generate_r and compute_g check of their inputs.
+    r = _generate_r(f, spec.n)
+    g = _compute_g(f, r, spec.n)
     f, r = _frozen(f, r)
     return Factorization(spec=spec, f=f, r=r, g=g, variant=CIRCULANT)
 

@@ -9,8 +9,8 @@ only on the normalized ratio ``d = c / a`` through one sequence::
 
 For ``|d| > 2`` (the strictly diagonally dominant case) the sequence grows
 geometrically with per-step ratio ``(|d| + sqrt(d^2 - 4)) / 2``, so the
-generator checks every step for 64-bit range exhaustion and reports the
-largest usable index instead of letting infinities propagate downstream.
+generator checks for 64-bit range exhaustion and reports the largest usable
+index instead of letting infinities propagate downstream.
 
 From ``f`` two recurrence-level quantities follow: the corner coupling
 coefficients ``r_j = f_n * f_1 / (f_{j+1} * f_j)`` and the closure scalar
@@ -34,6 +34,11 @@ from .errors import (
 
 # Two algebraically identical evaluations of g must agree this tightly.
 G_AGREEMENT_RTOL = 1e-12
+
+# Steps between finiteness checks in generate_f.  Infinity and NaN
+# propagate through the recurrence, so one check per chunk still sees the
+# first overflow, and an overflowing order stops within one chunk of it.
+_CHECK_EVERY = 512
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,8 @@ def generate_f(source, m):
         If some ``f_i`` leaves the finite 64-bit range.  The error carries
         ``failing_index``, the asymptotic ``growth_ratio``, and
         ``max_safe_m`` (the largest index that is still finite), and never
-        returns a vector containing non-finite values.
+        returns a vector containing non-finite values.  Generation stops
+        within 512 steps of the overflow, however large ``m`` is.
     ZeroPivotError
         If some ``f_i`` with ``i >= 1`` is exactly zero, which can happen
         only for permissive ratios ``|d| <= 2``.  Zero entries would later
@@ -147,14 +153,48 @@ def generate_f(source, m):
     m = operator.index(m)
     if m < 1:
         raise InvalidSpecError(f"sequence length m must be at least 1, got {m}")
-    out = np.empty(m + 1)
-    out[0] = 0.0
-    out[1] = 1.0
-    prev = 0.0
-    cur = 1.0
+    out = np.fromiter(_f_values(d, m), float, m + 1)
+    # _f_values checks every chunk but the last.  f_0 is the only zero a
+    # usable sequence holds, and only |d| <= 2 can reach another: above 2,
+    # rounding is monotone, so |f_{i+1}| >= 2|f_i| - |f_{i-1}| >= |f_i| >= 1.
+    if not math.isfinite(out[m]) or (abs(d) <= 2.0 and np.count_nonzero(out) < m):
+        _raise_first_failure(d, m)
+    return out
+
+
+def _f_values(d, m):
+    # f_0 .. f_m as Python floats, two steps per pass.  ``nd * cur`` is the
+    # product ``-d * cur`` forms, so each value equals the one-step loop's
+    # in _raise_first_failure bit for bit.
+    nd = -d
+    prev, cur = 0.0, 1.0
+    yield prev
+    yield cur
+    i = 1
+    while i < m:
+        stop = m if m - i <= _CHECK_EVERY else i + _CHECK_EVERY
+        for _ in range((stop - i) // 2):
+            prev = nd * cur - prev
+            yield prev
+            cur = nd * prev - cur
+            yield cur
+        if (stop - i) % 2:
+            prev, cur = cur, nd * cur - prev
+            yield cur
+        # fromiter stops reading at f_m, so this never runs after the
+        # last chunk.
+        if not math.isfinite(cur):
+            _raise_first_failure(d, stop)
+        i = stop
+
+
+def _raise_first_failure(d, m):
+    # Cold path: re-run f_2 .. f_m one step at a time and raise for the
+    # first value that is non-finite or zero, in index order.
+    prev, cur = 0.0, 1.0
     for i in range(1, m):
-        nxt = -d * cur - prev  # float arithmetic overflows to inf or nan
-        if not math.isfinite(nxt):
+        prev, cur = cur, -d * cur - prev
+        if not math.isfinite(cur):
             raise GrowthOverflowError(
                 f"f_{i + 1} exceeds the 64-bit range for d = {d} "
                 f"(growth ratio {growth_ratio(d):.6g} per step); "
@@ -163,15 +203,12 @@ def generate_f(source, m):
                 growth_ratio=growth_ratio(d),
                 max_safe_m=i,
             )
-        if nxt == 0.0:
+        if cur == 0.0:
             raise ZeroPivotError(
                 f"f_{i + 1} = 0 for d = {d}; the factorization needs every "
                 f"f_i with i >= 1 as a nonzero pivot",
                 index=i + 1,
             )
-        out[i + 1] = nxt
-        prev, cur = cur, nxt
-    return out
 
 
 def generate_r(f, n):
@@ -200,6 +237,12 @@ def generate_r(f, n):
             f"f_{zeros[0] + 1} = 0; corner coefficients are undefined",
             index=int(zeros[0] + 1),
         )
+    return _generate_r(f, n)
+
+
+def _generate_r(f, n):
+    # generate_r past its input checks: f is a float vector reaching f_n
+    # with no zero among f_1 .. f_n.
     r = (f[n] / f[2 : n + 1]) / f[1:n]
     r *= f[1]
     if not np.isfinite(r).all():
@@ -236,8 +279,16 @@ def compute_g(f, r, n):
         raise DimensionMismatchError(
             f"need r_1..r_{{n-1}} (shape ({n - 1},)), got shape {r.shape}"
         )
-    g_primary = float(1.0 - f[n + 1] + r.sum() + r[n - 2] * f[n - 1])
-    g_alternate = float(1.0 + f[1] - f[n + 1] + (r * f[1]).sum())
+    return _compute_g(f, r, n)
+
+
+def _compute_g(f, r, n):
+    # compute_g past its shape checks.  r * f_1 is r itself when f_1 = 1,
+    # as for every generated f, so both forms then share one sum.
+    r_sum = r.sum()
+    g_primary = float(1.0 - f[n + 1] + r_sum + r[n - 2] * f[n - 1])
+    r_f1_sum = r_sum if f[1] == 1.0 else (r * f[1]).sum()
+    g_alternate = float(1.0 + f[1] - f[n + 1] + r_f1_sum)
     if not (math.isfinite(g_primary) and math.isfinite(g_alternate)):
         raise GrowthOverflowError(
             f"closure scalar left the 64-bit range (f_{{n+1}} = {f[n + 1]})"

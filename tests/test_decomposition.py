@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -20,7 +22,7 @@ from circkr import (
     reconstruct,
 )
 
-from grids import peak_doubles, relative_max_error
+from grids import grid_cases, peak_doubles, relative_max_error
 
 SPOT_CHECKS = [
     (3, 2.05, 1.0),
@@ -80,6 +82,32 @@ class TestDecompose:
             decompose(SystemSpec(1024, 5.0, 2.0))
         with pytest.raises(GrowthOverflowError):
             decompose_tridiagonal(SystemSpec(1024, 5.0, 2.0))
+
+    def test_overflow_stops_early_for_a_huge_order(self):
+        # d = 2.5 overflows at f_1025.  A generator that ran all 10**7 steps
+        # before checking would take about 1 s; the CLI and _max_safe_n in
+        # test_solver rely on the early stop.
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(GrowthOverflowError) as excinfo:
+                decompose(SystemSpec(10**7, 2.5, 1.0))
+            elapsed.append(time.perf_counter() - start)
+            assert excinfo.value.max_safe_n == 1023
+        assert min(elapsed) < 0.05
+
+    def test_equals_its_public_stages_bit_for_bit(self):
+        # decompose skips the input checks of generate_r and compute_g; it
+        # must still give exactly what the checked stages give.
+        for n, d, a in grid_cases():
+            spec = _spec(n, d, a)
+            f = generate_f(spec, n + 1)
+            r = generate_r(f, n)
+            staged = Factorization(spec, f, r, compute_g(f, r, n))
+            fct = decompose(spec)
+            assert fct.f.tobytes() == staged.f.tobytes(), (n, d, a)
+            assert fct.r.tobytes() == staged.r.tobytes(), (n, d, a)
+            assert repr(fct.g) == repr(staged.g), (n, d, a)
 
     def test_permissive_singular_ratio(self):
         with pytest.raises(SingularPivotError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from circkr import (
@@ -20,6 +22,43 @@ from circkr import (
 )
 
 REFERENCE_F = np.array([0.0, 1.0, -2.5, 5.25, -10.625, 21.3125, -42.65625])
+
+
+def _one_step_generate_f(d, m):
+    """Reference: the plain loop that checks every step and stores each value."""
+    out = np.empty(m + 1)
+    out[0] = 0.0
+    out[1] = 1.0
+    prev = 0.0
+    cur = 1.0
+    for i in range(1, m):
+        nxt = -d * cur - prev  # float arithmetic overflows to inf or nan
+        if not math.isfinite(nxt):
+            raise GrowthOverflowError(
+                f"f_{i + 1} exceeds the 64-bit range for d = {d} "
+                f"(growth ratio {growth_ratio(d):.6g} per step); "
+                f"the largest finite index is {i}",
+                failing_index=i + 1,
+                growth_ratio=growth_ratio(d),
+                max_safe_m=i,
+            )
+        if nxt == 0.0:
+            raise ZeroPivotError(
+                f"f_{i + 1} = 0 for d = {d}; the factorization needs every "
+                f"f_i with i >= 1 as a nonzero pivot",
+                index=i + 1,
+            )
+        out[i + 1] = nxt
+        prev, cur = cur, nxt
+    return out
+
+
+def _outcome(generate, d, m):
+    # The bytes of the result, or everything an error carries.
+    try:
+        return generate(d, m).tobytes()
+    except (GrowthOverflowError, ZeroPivotError) as err:
+        return type(err), str(err), vars(err)
 
 
 class TestSystemSpec:
@@ -146,6 +185,39 @@ class TestGenerateF:
         with pytest.raises(InvalidSpecError):
             generate_f(math.nan, 5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.one_of(
+            st.floats(2.0, 100.0, exclude_min=True),
+            st.floats(-100.0, -2.0, exclude_max=True),
+            st.floats(-2.0, 2.0),
+        ),
+        m=st.integers(1, 3000),
+    )
+    def test_matches_one_step_loop_bit_for_bit(self, d, m):
+        assert _outcome(generate_f, d, m) == _outcome(_one_step_generate_f, d, m)
+
+    @pytest.mark.parametrize(
+        "d, m",
+        [(0.0, 40), (1.0, 40), (2.0, 40), (-2.0, 40), (2.5, 1024),
+         (-2.0001, 70519), (-2.0001, 70520)],
+    )
+    def test_pinned_cases_match_one_step_loop(self, d, m):
+        assert _outcome(generate_f, d, m) == _outcome(_one_step_generate_f, d, m)
+
+    @pytest.mark.parametrize(
+        "d, m, failing_index",
+        # Finiteness is checked once per chunk of 512 steps, f_2 .. f_513
+        # being the first.  +-4.25 first overflows at its last value, 4.24
+        # at the first value of the next chunk; 2.5 with m = 1025 overflows
+        # at the very last value generated.
+        [(4.25, 600, 513), (-4.25, 513, 513), (4.24, 600, 514), (2.5, 1025, 1025)],
+    )
+    def test_overflow_on_a_chunk_boundary(self, d, m, failing_index):
+        expected = _outcome(_one_step_generate_f, d, m)
+        assert expected[2]["failing_index"] == failing_index
+        assert _outcome(generate_f, d, m) == expected
+
     def test_growth_ratio_helper(self):
         assert growth_ratio(2.5) == 2.0
         assert growth_ratio(-2.5) == 2.0
@@ -236,6 +308,13 @@ class TestComputeG:
         r = generate_r(f, 64)
         with pytest.raises(InconsistencyError):
             compute_g(f, r, 64)
+
+    def test_alternate_form_scales_by_f1(self):
+        # With f_1 = 2 the alternate form adds 2 sum r_j against the primary
+        # form's sum r_j, so the two must disagree.
+        f = 2.0 * REFERENCE_F
+        with pytest.raises(InconsistencyError):
+            compute_g(f, generate_r(f, 5), 5)
 
     def test_requires_matching_shapes(self):
         r = generate_r(REFERENCE_F, 5)
