@@ -50,11 +50,11 @@ def dense_solve(matrix, rhs):
     returns the solution in the same shape.  Raises SingularMatrixError
     when the best remaining pivot is numerically zero.
     """
-    work = np.array(matrix, dtype=float)
-    if work.ndim != 2 or work.shape[0] != work.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got shape {work.shape}")
-    n = work.shape[0]
-    b = np.array(rhs, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatchError(f"matrix must be square, got shape {matrix.shape}")
+    n = matrix.shape[0]
+    b = np.asarray(rhs, dtype=float)
     single = b.ndim == 1
     if single:
         b = b[:, None]
@@ -62,7 +62,8 @@ def dense_solve(matrix, rhs):
         raise DimensionMismatchError(
             f"right-hand side must have leading dimension {n}, got shape {b.shape}"
         )
-    pivot_floor = n * np.finfo(float).eps * max(np.abs(work).max(), np.finfo(float).tiny)
+    pivot_floor = n * np.finfo(float).eps * max(np.abs(matrix).max(), np.finfo(float).tiny)
+    work = np.concatenate((matrix, b), axis=1)
     for k in range(n):
         lead = k + int(np.argmax(np.abs(work[k:, k])))
         if abs(work[lead, k]) <= pivot_floor:
@@ -71,13 +72,12 @@ def dense_solve(matrix, rhs):
             )
         if lead != k:
             work[[k, lead]] = work[[lead, k]]
-            b[[k, lead]] = b[[lead, k]]
-        factors = work[k + 1 :, k] / work[k, k]
-        work[k + 1 :, k:] -= np.outer(factors, work[k, k:])
-        b[k + 1 :] -= np.outer(factors, b[k])
-    x = np.empty_like(b)
+        rows = k + 1 + np.flatnonzero(work[k + 1 :, k])
+        work[rows, k:] -= np.outer(work[rows, k] / work[k, k], work[k, k:])
+    # Solve on a contiguous copy of B, so BLAS sums each row as on a plain block.
+    x = work[:, n:].copy()
     for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - work[k, k + 1 :] @ x[k + 1 :]) / work[k, k]
+        x[k] = (x[k] - work[k, k + 1 : n] @ x[k + 1 :]) / work[k, k]
     return x[:, 0] if single else x
 
 

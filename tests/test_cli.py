@@ -7,6 +7,8 @@ import pytest
 
 from circkr.cli import _fmt, main
 
+from grids import peak_doubles
+
 FIXTURE = ["--n", "5", "--c", "5", "--a", "2"]
 
 
@@ -214,6 +216,12 @@ class TestCheckCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "verdict: residuals exceed 1e-08"
+
+    def test_holds_two_dense_arrays(self, capsys):
+        # The dense matrix plus one n x n result or elimination buffer at a time.
+        n = 256
+        argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1")
+        assert peak_doubles(run_cli, *argv) <= 2.6 * n * n
 
 
 class TestBenchCommand:

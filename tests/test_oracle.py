@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -13,6 +15,58 @@ from circkr import (
     spectral_inverse_entry,
     spectral_inverse_first_row,
 )
+
+from grids import peak_doubles
+
+
+def textbook_dense_solve(matrix, rhs):
+    """The plain elimination ``dense_solve`` must reproduce byte for byte:
+    every step swaps and updates the full trailing matrix and the
+    right-hand sides separately."""
+    work = np.array(matrix, dtype=float)
+    if work.ndim != 2 or work.shape[0] != work.shape[1]:
+        raise DimensionMismatchError(f"matrix must be square, got shape {work.shape}")
+    n = work.shape[0]
+    b = np.array(rhs, dtype=float)
+    single = b.ndim == 1
+    if single:
+        b = b[:, None]
+    if b.ndim != 2 or b.shape[0] != n:
+        raise DimensionMismatchError(
+            f"right-hand side must have leading dimension {n}, got shape {b.shape}"
+        )
+    pivot_floor = n * np.finfo(float).eps * max(np.abs(work).max(), np.finfo(float).tiny)
+    for k in range(n):
+        lead = k + int(np.argmax(np.abs(work[k:, k])))
+        if abs(work[lead, k]) <= pivot_floor:
+            raise SingularMatrixError(
+                f"zero pivot in column {k + 1} after partial pivoting"
+            )
+        if lead != k:
+            work[[k, lead]] = work[[lead, k]]
+            b[[k, lead]] = b[[lead, k]]
+        factors = work[k + 1 :, k] / work[k, k]
+        work[k + 1 :, k:] -= np.outer(factors, work[k, k:])
+        b[k + 1 :] -= np.outer(factors, b[k])
+    x = np.empty_like(b)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - work[k, k + 1 :] @ x[k + 1 :]) / work[k, k]
+    return x[:, 0] if single else x
+
+
+def outcome(solver, matrix, rhs):
+    """Result bytes and shape, or the error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            x = solver(matrix, rhs)
+    except (DimensionMismatchError, SingularMatrixError) as err:
+        return type(err), str(err)
+    return x.shape, x.tobytes()
+
+
+def right_hand_sides(n, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(n), rng.standard_normal((n, 3)), np.empty((n, 0))]
 
 
 class TestBuildDense:
@@ -87,6 +141,60 @@ class TestDenseSolve:
             dense_solve(np.ones((3, 4)), np.ones(3))
         with pytest.raises(DimensionMismatchError):
             dense_solve(np.eye(3), np.ones(4))
+
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    @pytest.mark.parametrize("n", [3, 4, 17, 64])
+    def test_family_matches_textbook_bytes(self, n, variant):
+        # Strict and permissive ratios (-2 makes the circulant singular),
+        # with tiny and huge off-diagonals.
+        for d in (2.05, -2.5, 5.0, 100.0, 1.3, 0.5, -2.0):
+            for a in (0.7, -3e5, 1e-200, 1e200):
+                dense = build_dense(SystemSpec(n, d * a, a, strict=False), variant)
+                for rhs in right_hand_sides(n, n):
+                    assert outcome(dense_solve, dense, rhs) == outcome(
+                        textbook_dense_solve, dense, rhs
+                    ), (d, a, rhs.shape)
+
+    @pytest.mark.parametrize("n", [2, 5, 33, 90])
+    def test_random_dense_matches_textbook_bytes(self, n):
+        # No diagonal boost, so elimination swaps rows at most steps.
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(5):
+            matrix = rng.standard_normal((n, n))
+            for rhs in right_hand_sides(n, n):
+                assert outcome(dense_solve, matrix, rhs) == outcome(
+                    textbook_dense_solve, matrix, rhs
+                )
+
+    @pytest.mark.parametrize(
+        "matrix, rhs",
+        [
+            (np.ones((3, 3)), np.ones(3)),
+            (np.ones((3, 4)), np.ones(3)),
+            (np.eye(3), np.ones(4)),
+            (np.eye(3), np.ones((3, 2, 1))),
+            (np.array(5.0), np.ones(1)),
+            ([[0.0, 1.0], [1.0, 0.0]], [5.0, 7.0]),
+        ],
+    )
+    def test_edge_cases_match_textbook(self, matrix, rhs):
+        assert outcome(dense_solve, matrix, rhs) == outcome(
+            textbook_dense_solve, matrix, rhs
+        )
+
+    def test_peak_is_one_work_buffer(self):
+        n = 512
+        dense = build_dense(SystemSpec(n, 2.05, 1.0))
+        block = np.random.default_rng(3).standard_normal((n, 3))
+        assert peak_doubles(dense_solve, dense, block) <= 1.1 * n * n
+
+    def test_family_solve_skips_unchanged_rows(self):
+        # Each step changes O(1) rows of this matrix, so elimination is O(n^2).
+        dense = build_dense(SystemSpec(2000, 2.01, 1.0))
+        block = np.random.default_rng(4).standard_normal((2000, 3))
+        start = time.perf_counter()
+        dense_solve(dense, block)
+        assert time.perf_counter() - start < 2.0
 
     def test_does_not_mutate_inputs(self):
         matrix = np.array([[4.0, 1.0], [1.0, 4.0]])
