@@ -35,9 +35,8 @@ from .errors import (
 # Two algebraically identical evaluations of g must agree this tightly.
 G_AGREEMENT_RTOL = 1e-12
 
-# Steps between finiteness checks in generate_f.  Infinity and NaN
-# propagate through the recurrence, so one check per chunk still sees the
-# first overflow, and an overflowing order stops within one chunk of it.
+# Steps between checks in generate_f.  Infinity and NaN propagate through
+# the recurrence, so a finite last value clears the whole chunk.
 _CHECK_EVERY = 512
 
 
@@ -134,12 +133,12 @@ def generate_f(source, m):
         If some ``f_i`` leaves the finite 64-bit range.  The error carries
         ``failing_index``, the asymptotic ``growth_ratio``, and
         ``max_safe_m`` (the largest index that is still finite), and never
-        returns a vector containing non-finite values.  Generation stops
-        within 512 steps of the overflow, however large ``m`` is.
+        returns a vector containing non-finite values.
     ZeroPivotError
         If some ``f_i`` with ``i >= 1`` is exactly zero, which can happen
         only for permissive ratios ``|d| <= 2``.  Zero entries would later
-        be used as divisors, so generation refuses eagerly.
+        be used as divisors, so generation refuses eagerly.  Either error
+        stops generation within 512 steps, however large ``m`` is.
 
     Examples
     --------
@@ -153,62 +152,48 @@ def generate_f(source, m):
     m = operator.index(m)
     if m < 1:
         raise InvalidSpecError(f"sequence length m must be at least 1, got {m}")
-    out = np.fromiter(_f_values(d, m), float, m + 1)
-    # _f_values checks every chunk but the last.  f_0 is the only zero a
-    # usable sequence holds, and only |d| <= 2 can reach another: above 2,
-    # rounding is monotone, so |f_{i+1}| >= 2|f_i| - |f_{i-1}| >= |f_i| >= 1.
-    if not math.isfinite(out[m]) or (abs(d) <= 2.0 and np.count_nonzero(out) < m):
-        _raise_first_failure(d, m)
-    return out
+    values = _f_values(d)
+    out = None if m <= _CHECK_EVERY + 1 else np.empty(m + 1)
+    start, stop = 0, 2  # f_0 and f_1 ride with the first chunk of steps
+    while start <= m:
+        stop = min(stop + _CHECK_EVERY, m + 1)
+        chunk = np.fromiter(values, float, stop - start)
+        if out is None:
+            out = chunk
+        else:
+            out[start:stop] = chunk
+        # Only |d| <= 2 can reach a zero past f_0: above 2, rounding is
+        # monotone, so |f_{i+1}| >= 2|f_i| - |f_{i-1}| >= |f_i| >= 1.
+        has_zero = abs(d) <= 2.0 and np.count_nonzero(chunk) + (start == 0) < chunk.size
+        if has_zero or not math.isfinite(chunk[-1]):
+            break
+        start = stop
+    else:
+        return out
+    # Cold path: raise for the first value past f_0 that is non-finite or zero.
+    i = 1 + int(np.argmin(np.isfinite(out[1:stop]) & (out[1:stop] != 0.0)))
+    if out[i] == 0.0:
+        raise ZeroPivotError(
+            f"f_{i} = 0 for d = {d}; the factorization needs every "
+            f"f_i with i >= 1 as a nonzero pivot",
+            index=i,
+        )
+    raise GrowthOverflowError(
+        f"f_{i} exceeds the 64-bit range for d = {d} "
+        f"(growth ratio {growth_ratio(d):.6g} per step); "
+        f"the largest finite index is {i - 1}",
+        failing_index=i, growth_ratio=growth_ratio(d), max_safe_m=i - 1,
+    )
 
 
-def _f_values(d, m):
-    # f_0 .. f_m as Python floats, two steps per pass.  ``nd * cur`` is the
-    # product ``-d * cur`` forms, so each value equals the one-step loop's
-    # in _raise_first_failure bit for bit.
-    nd = -d
-    prev, cur = 0.0, 1.0
+def _f_values(d):
+    # Endless f_0, f_1, ... as Python floats; np.fromiter takes exactly the count it is given.
+    nd, prev, cur = -d, 0.0, 1.0
     yield prev
     yield cur
-    i = 1
-    while i < m:
-        stop = m if m - i <= _CHECK_EVERY else i + _CHECK_EVERY
-        for _ in range((stop - i) // 2):
-            prev = nd * cur - prev
-            yield prev
-            cur = nd * prev - cur
-            yield cur
-        if (stop - i) % 2:
-            prev, cur = cur, nd * cur - prev
-            yield cur
-        # fromiter stops reading at f_m, so this never runs after the
-        # last chunk.
-        if not math.isfinite(cur):
-            _raise_first_failure(d, stop)
-        i = stop
-
-
-def _raise_first_failure(d, m):
-    # Cold path: re-run f_2 .. f_m one step at a time and raise for the
-    # first value that is non-finite or zero, in index order.
-    prev, cur = 0.0, 1.0
-    for i in range(1, m):
-        prev, cur = cur, -d * cur - prev
-        if not math.isfinite(cur):
-            raise GrowthOverflowError(
-                f"f_{i + 1} exceeds the 64-bit range for d = {d} "
-                f"(growth ratio {growth_ratio(d):.6g} per step); "
-                f"the largest finite index is {i}",
-                failing_index=i + 1,
-                growth_ratio=growth_ratio(d),
-                max_safe_m=i,
-            )
-        if cur == 0.0:
-            raise ZeroPivotError(
-                f"f_{i + 1} = 0 for d = {d}; the factorization needs every "
-                f"f_i with i >= 1 as a nonzero pivot",
-                index=i + 1,
-            )
+    while True:
+        yield (prev := nd * cur - prev)
+        yield (cur := nd * prev - cur)
 
 
 def generate_r(f, n):

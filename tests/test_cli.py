@@ -223,6 +223,13 @@ class TestCheckCommand:
         argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1")
         assert peak_doubles(run_cli, *argv) <= 2.6 * n * n
 
+    def test_tridiagonal_holds_two_dense_arrays(self, capsys):
+        # The identity residual is formed row by row from the inverse, with
+        # no product matrix or identity beside it.
+        n = 256
+        argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1", "--variant", "tridiagonal")
+        assert peak_doubles(run_cli, *argv) <= 2.6 * n * n
+
 
 class TestBenchCommand:
     def test_small_run_reports_slope(self, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -217,6 +218,28 @@ class TestGenerateF:
         expected = _outcome(_one_step_generate_f, d, m)
         assert expected[2]["failing_index"] == failing_index
         assert _outcome(generate_f, d, m) == expected
+
+    @pytest.mark.parametrize("m", [511, 512, 513, 1023, 1024, 1025])
+    @pytest.mark.parametrize(
+        "d", [2.0001, -2.0001, 2.5, -2.5, 4.25, 4.24, 0.0, 1.0, -1.0, 1.9999999]
+    )
+    def test_chunk_seams_match_one_step_loop(self, d, m):
+        # Each chunk is read from one stream of values, so a chunk that
+        # took one value too many or too few would shift everything after it.
+        assert _outcome(generate_f, d, m) == _outcome(_one_step_generate_f, d, m)
+
+    @pytest.mark.parametrize("d, index", [(0.0, 2), (1.0, 3)])
+    def test_zero_pivot_stops_early(self, d, index):
+        # The zero sits in the first chunk, so a huge order costs no more
+        # than a small one.
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ZeroPivotError) as excinfo:
+                generate_f(d, 10**6)
+            best = min(best, time.perf_counter() - start)
+            assert excinfo.value.index == index
+        assert best < 0.010
 
     def test_growth_ratio_helper(self):
         assert growth_ratio(2.5) == 2.0
