@@ -309,26 +309,23 @@ def _solve_a1_transpose(fct, out, scale):
     return out
 
 
-def _solve_a1_transpose_unit(fct, y, lift=0):
-    """x with A1^T x = y in place, for |y| <= 1: the pass runs on 2**(lift s) y
-    at the scale 4**s.  lift = 1 suits y = e_n, which enters only as y_n / g."""
-    s = fct._plan.shift
-    np.ldexp(y, lift * s, y)
-    _solve_a1_transpose(fct, y, math.ldexp(1.0, 2 * s))
-    return np.ldexp(y, -(2 + lift) * s, y)
-
-
 def a1_inverse_last_row(fct):
     """Last row of A1^-1 for the circulant variant, by substitution in O(n).
 
     The printed closed form for this row does not hold; solving
     A1^T m = e_n (from the corner pivot g upward) does, and is what the
-    dense A1^-1 uses.
+    dense A1^-1 uses.  e_n enters only through m_n = 1 / g, and |g| is of
+    the order of 4**s, so the pass runs on 4**s e_n (handed over as
+    2**s e_n, the kernel's y / 2**s) at the scale 4**s, which keeps the
+    row near unit size; the 8**s multiple it returns is scaled back
+    exactly.
     """
     _require_circulant(fct, "the closure row of A1^-1")
+    s = fct._plan.shift
     out = np.zeros(fct.spec.n)
-    out[-1] = 1.0
-    return _solve_a1_transpose_unit(fct, out, lift=1)
+    out[-1] = math.ldexp(1.0, s)
+    _solve_a1_transpose(fct, out, math.ldexp(1.0, 2 * s))
+    return np.ldexp(out, -3 * s, out)
 
 
 def _dense_k(fct):

@@ -45,14 +45,14 @@ def _not_finite(b, where=""):
     )
 
 
-def _solve(fct, rhs, e, out=None):
+def _solve(fct, rhs, e, top, out=None):
     """x for right-hand sides ``rhs`` of shape (n,) or (k, n), into ``out``.
 
-    ``e`` holds each right-hand side's power-of-two exponent.  The passes
-    run on b / 2**(e + s), an exact rescale that keeps every product
-    f_i b_i in range however large or small b is.  The back substitution
-    also divides by the mantissa of a, and one exact rescale at the end
-    restores 2**e and the exponent of a.
+    ``e`` holds each right-hand side's power-of-two exponent and ``top``
+    the largest of them.  The passes run on b / 2**(e + s), an exact
+    rescale that keeps every product f_i b_i in range however large or
+    small b is.  The back substitution also divides by the mantissa of a,
+    and one exact rescale at the end restores 2**e and the exponent of a.
     """
     plan = fct._plan
     out = np.ldexp(rhs, -(e + plan.shift), out)
@@ -60,7 +60,16 @@ def _solve(fct, rhs, e, out=None):
     if fct.variant == CIRCULANT:
         _r_pass(fct, out)
     _solve_a1_transpose(fct, out, plan.a_scale)
-    np.ldexp(out, e + plan.a_unshift, out)
+    # Only an upward rescale can leave the range; numpy would warn about it
+    # before the check below raises.  A per-call errstate costs 1-2 us.
+    if top + plan.a_unshift > 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _unscale(out, e + plan.a_unshift)
+    return _unscale(out, e + plan.a_unshift)
+
+
+def _unscale(out, exponent):
+    np.ldexp(out, exponent, out)
     # A sum is non-finite whenever an entry is; only then look entry by entry.
     total = np.add.reduce(out, None)
     if not math.isfinite(total) and not np.isfinite(out).all():
@@ -79,7 +88,8 @@ def solve(fct: Factorization, b) -> np.ndarray:
     peak = max(np.maximum.reduce(b), -np.minimum.reduce(b))
     if not math.isfinite(peak):
         raise _not_finite(b)
-    return _solve(fct, b, math.frexp(peak)[1])
+    e = math.frexp(peak)[1]
+    return _solve(fct, b, e, e)
 
 
 def solve_many(fct: Factorization, block) -> np.ndarray:
@@ -101,10 +111,12 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
     peak = np.maximum(
         np.maximum.reduce(columns, axis=1), -np.minimum.reduce(columns, axis=1)
     )
-    finite = np.isfinite(peak)
-    if not finite.all():
-        j = int(np.argmin(finite))
+    # NaN and infinity propagate into top; only then look column by column.
+    top = float(peak.max(initial=0.0))
+    if not math.isfinite(top):
+        j = int(np.argmin(np.isfinite(peak)))
         raise _not_finite(columns[j], f"right-hand side column {j + 1}: ")
     # The kernel works on one (k, n) buffer whose rows are the columns.
     out = columns.copy()
-    return _solve(fct, out, np.frexp(peak)[1][:, None], out=out).T
+    e = np.frexp(peak)[1][:, None]
+    return _solve(fct, out, e, math.frexp(top)[1], out=out).T

@@ -8,11 +8,13 @@ from numpy.testing import assert_allclose
 from circkr import (
     Factorization,
     GrowthOverflowError,
+    SingularPivotError,
     SizeGuardError,
     SystemSpec,
     TRIDIAGONAL,
     VariantMismatchError,
     build_dense,
+    count_operations,
     decompose,
     decompose_tridiagonal,
     inverse_dense,
@@ -20,7 +22,7 @@ from circkr import (
     spectral_inverse_first_row,
 )
 
-from grids import peak_doubles, relative_max_error
+from grids import grid_cases, peak_doubles, relative_max_error
 
 SPOT_CHECKS = [
     (3, 2.05, 1.0),
@@ -61,6 +63,55 @@ def _exact_inverse_first_row(n, c, a):
         acc = rhs[row] - sum(matrix[row][k] * x[k] for k in range(row + 1, n))
         x[row] = acc / matrix[row][row]
     return x
+
+
+def _exact_tridiagonal_inverse(n, c, a):
+    """Rational LU (Thomas) solves against each unit vector, independent of everything.
+
+    The inverse is symmetric, so the solution columns are returned as rows.
+    """
+    c, a = Fraction(c), Fraction(a)
+    pivots = [c]
+    for _ in range(n - 1):
+        pivots.append(c - a * a / pivots[-1])
+    columns = []
+    for j in range(n):
+        y = [Fraction(0)] * n
+        y[j] = Fraction(1)
+        for i in range(j + 1, n):
+            y[i] = -a / pivots[i - 1] * y[i - 1]
+        x = [Fraction(0)] * n
+        x[-1] = y[-1] / pivots[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (y[i] - a * x[i + 1]) / pivots[i]
+        columns.append(x)
+    return columns
+
+
+def _condition_number(spec, circulant):
+    # Both matrices are symmetric with eigenvalues c + 2a cos(theta_k).
+    n = spec.n
+    if circulant:
+        theta = 2 * np.pi * np.arange(n) / n
+    else:
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+    magnitudes = np.abs(spec.c + 2 * spec.a * np.cos(theta))
+    return magnitudes.max() / magnitudes.min()
+
+
+# Orders up to 31 keep the rational oracles cheap; the permissive ratios
+# stay clear of the zero pivots f_i = 0.
+EXACT_CASES = [
+    (n, d, a, True)
+    for n in (3, 4, 8, 13, 31)
+    for d in (2.0001, 2.05, -2.5, 4.0, -100.0)
+    for a in (1.0, -0.75, 3.0)
+] + [
+    (n, d, a, False)
+    for n in (5, 8, 13, 20, 31)
+    for d in (1.9, -1.99, 0.3, -1.3)
+    for a in (1.0, -2.0)
+]
 
 
 class TestFirstRow:
@@ -110,6 +161,47 @@ class TestFirstRow:
         fct = decompose_tridiagonal(SystemSpec(5, 5.0, 2.0))
         with pytest.raises(VariantMismatchError):
             inverse_first_row(fct)
+
+    def test_palindrome_is_exact(self):
+        for n, d, a in grid_cases():
+            row = inverse_first_row(decompose(_spec(n, d, a)))
+            assert np.array_equal(row[1:], row[:0:-1]), (n, d, a)
+
+    def test_singular_closure_scalar_raises(self):
+        good = decompose(SystemSpec(5, 5.0, 2.0))
+        fct = Factorization(good.spec, good.f, good.r, 0.0)
+        with pytest.raises(SingularPivotError):
+            inverse_first_row(fct)
+
+    @pytest.mark.parametrize(
+        "n, d, a",
+        [
+            (70518, 2.0001, 1.0),
+            (70518, -2.0001, 3e150),
+            (1023, 2.5, 1e-200),
+            (1023, 2.5, 3e150),
+            (154, 100.0, 1e-200),
+            (154, -100.0, 3e150),
+        ],
+    )
+    def test_backward_error_at_the_edge_of_the_range(self, n, d, a):
+        # |f_{n+1}| is near the largest double, and a scales entries by up
+        # to 10**+-200; A v = e_1 must still hold to machine precision.
+        spec = _spec(n, d, a)
+        row = inverse_first_row(decompose(spec))
+        residual = spec.c * row + spec.a * (np.roll(row, 1) + np.roll(row, -1))
+        residual[0] -= 1.0
+        norm_a = abs(spec.c) + 2 * abs(spec.a)
+        backward = np.abs(residual).max() / (norm_a * np.abs(row).max() + 1.0)
+        assert backward <= 1e-15
+
+    @pytest.mark.parametrize("n, d, a, strict", EXACT_CASES)
+    def test_matches_exact_rational_inverse(self, n, d, a, strict):
+        spec = SystemSpec(n, d * a, a, strict)
+        row = inverse_first_row(decompose(spec))
+        exact = np.array([float(v) for v in _exact_inverse_first_row(n, spec.c, a)])
+        bound = 64 * _condition_number(spec, True) * np.finfo(float).eps
+        assert np.abs(row - exact).max() <= bound * np.abs(exact).max()
 
 
 class TestInverseDense:
@@ -210,6 +302,39 @@ def test_tridiagonal_inverse_beyond_the_range_raises(n, c, a):
         warnings.simplefilter("error")
         with pytest.raises(GrowthOverflowError):
             inverse_dense(fct)
+
+
+@pytest.mark.parametrize("n, d, a, strict", EXACT_CASES)
+def test_tridiagonal_inverse_matches_exact_rational_inverse(n, d, a, strict):
+    spec = SystemSpec(n, d * a, a, strict)
+    inv = inverse_dense(decompose_tridiagonal(spec))
+    exact = np.array(
+        [[float(v) for v in row] for row in _exact_tridiagonal_inverse(n, spec.c, a)]
+    )
+    bound = 64 * _condition_number(spec, False) * np.finfo(float).eps
+    assert np.abs(inv - exact).max() <= bound * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("n, c, a", [(8, 3e-310, 1e-310), (64, 2.5e-309, 1e-309)])
+@pytest.mark.parametrize("inverse", [inverse_first_row, inverse_dense])
+def test_circulant_inverse_beyond_the_range_raises(inverse, n, c, a):
+    # Entries of order 1 / a overflow for a subnormal a; the error comes
+    # first, with no numpy warning ahead of it.
+    fct = decompose(SystemSpec(n, c, a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GrowthOverflowError):
+            inverse(fct)
+
+
+@pytest.mark.parametrize("decomposer", [decompose, decompose_tridiagonal])
+def test_inverses_run_no_solver_pass(decomposer):
+    fct = decomposer(SystemSpec(16, 2.5, 1.0))
+    with count_operations() as counter:
+        inverse_dense(fct)
+        if fct.variant != TRIDIAGONAL:
+            inverse_first_row(fct)
+    assert counter.total == 0
 
 
 def test_circulant_inverse_rows_are_exact_rolls():

@@ -283,8 +283,6 @@ VARIANT_IDS = ["circulant", "tridiagonal"]
 
 @pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
 @pytest.mark.parametrize("many", [False, True], ids=["solve", "solve_many"])
-# The library still lets numpy warn about the overflow before it raises.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solution_beyond_the_64_bit_range_raises(circulant, many):
     # Every input is finite and cond(A) is about 9, but x is about
     # b / (c + 2a) = 1e300 / 4.5e-300, which no double holds.
