@@ -271,10 +271,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        # The library raises on any non-finite result, so a float warning
-        # would only push the ERROR line off the top of stderr.
-        with np.errstate(all="ignore"):
-            return ns.func(ns)
+        return ns.func(ns)
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else 0
     except CircKRError as err:

@@ -18,6 +18,10 @@ The back substitution needs no per-element loop: with u_i = x_i / f_i,
 and the tridiagonal variant drops x_n and runs the sum to k = n.  The
 shift 2**s, near sqrt|f_{n+1}|, keeps every intermediate in the normal
 64-bit range however close |f_{n+1}| comes to the largest double.
+
+A block is first copied into the (k, n) buffer, the one copy the kernel
+needs.  Each column's exponent e is read from that contiguous copy, so
+non-finite entries are looked for after the copy, before any pass runs.
 """
 
 import math
@@ -48,14 +52,15 @@ def _not_finite(b, where=""):
 def _solve(fct, rhs, e, top, out=None):
     """x for right-hand sides ``rhs`` of shape (n,) or (k, n), into ``out``.
 
-    ``e`` holds each right-hand side's power-of-two exponent and ``top``
-    the largest of them.  The passes run on b / 2**(e + s), an exact
-    rescale that keeps every product f_i b_i in range however large or
-    small b is.  The back substitution also divides by the mantissa of a,
-    and one exact rescale at the end restores 2**e and the exponent of a.
+    ``e`` holds each right-hand side's power-of-two exponent (an int, or a
+    (k, 1) array) and ``top`` the largest of them.  The passes run on
+    b / 2**(e + s), an exact rescale that keeps every product f_i b_i in
+    range however large or small b is.  The back substitution also divides
+    by the mantissa of a, and one exact rescale at the end restores 2**e and
+    the exponent of a.
     """
     plan = fct._plan
-    out = np.ldexp(rhs, -(e + plan.shift), out)
+    out = np.ldexp(rhs, -plan.shift - e, out)
     _k_pass(fct, out)
     if fct.variant == CIRCULANT:
         _r_pass(fct, out)
@@ -97,8 +102,9 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
 
     Returns an (n, k) array, empty for k = 0.  All columns run through the
     same vectorized passes at once, and column j of the result is
-    bit-identical to ``solve(fct, block[:, j])``.  Non-finite entries are
-    looked for before any work is done, and the error names the first
+    bit-identical to ``solve(fct, block[:, j])``.  ``block`` is never
+    written to.  Non-finite entries are looked for after the one copy the
+    kernel needs, before any pass runs, and the error names the first
     column holding one.
     """
     block = np.asarray(block, dtype=float)
@@ -107,16 +113,16 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side block must have shape ({n}, k), got {block.shape}"
         )
-    columns = block.T
+    # The kernel works on one (k, n) buffer whose rows are the columns; the
+    # peaks are read from that contiguous copy, not from the strided block.
+    out = block.T.copy()
     peak = np.maximum(
-        np.maximum.reduce(columns, axis=1), -np.minimum.reduce(columns, axis=1)
+        np.maximum.reduce(out, axis=1), -np.minimum.reduce(out, axis=1)
     )
     # NaN and infinity propagate into top; only then look column by column.
     top = float(peak.max(initial=0.0))
     if not math.isfinite(top):
         j = int(np.argmin(np.isfinite(peak)))
-        raise _not_finite(columns[j], f"right-hand side column {j + 1}: ")
-    # The kernel works on one (k, n) buffer whose rows are the columns.
-    out = columns.copy()
+        raise _not_finite(out[j], f"right-hand side column {j + 1}: ")
     e = np.frexp(peak)[1][:, None]
     return _solve(fct, out, e, math.frexp(top)[1], out=out).T

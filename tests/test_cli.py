@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,47 @@ class TestCheckCommand:
         n = 256
         argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1", "--variant", "tridiagonal")
         assert peak_doubles(run_cli, *argv) <= 2.6 * n * n
+
+
+class TestNoFloatWarnings:
+    """Extreme systems run with RuntimeWarning as an error: the CLI does not
+    silence numpy, so the library must raise or stay in range on its own."""
+
+    # d = -2cos(pi/7 + 1e-13): permissive, and a pivot f_i near zero.
+    NEAR_SINGULAR = ["--n", "23", "--c", repr(-2.0 * math.cos(math.pi / 7 + 1e-13)), "--a", "1"]
+
+    @staticmethod
+    def _run(capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(*argv)
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["check", "invert"])
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    @pytest.mark.parametrize(
+        "a, code, kind", [(1e300, 0, None), (1e-300, 0, None), (1e-310, 3, "Overflow")]
+    )
+    def test_extreme_scales(self, capsys, command, variant, a, code, kind):
+        argv = ["--n", "64", "--c", repr(2.5 * a), "--a", repr(a), "--variant", variant]
+        got, out = self._run(capsys, command, *argv)
+        assert got == code
+        if kind is None:
+            assert out.err == ""
+            assert out.out
+        else:
+            assert out.err.splitlines()[0].startswith(f"ERROR {kind}:")
+            assert out.out == ""
+
+    @pytest.mark.parametrize("command, code", [("check", 1), ("invert", 0)])
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    def test_permissive_near_singular(self, capsys, monkeypatch, command, code, variant):
+        # check exits 1: the residuals exceed the gate (permissive mode loses
+        # digits to the tiny pivot), reported as a verdict, not a warning.
+        monkeypatch.setenv("CIRCKR_STRICT", "0")
+        got, out = self._run(capsys, command, *self.NEAR_SINGULAR, "--variant", variant)
+        assert got == code
+        assert out.err == ""
 
 
 class TestBenchCommand:

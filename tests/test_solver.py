@@ -122,6 +122,38 @@ def test_solve_many_accepts_any_block_layout(layout):
         assert np.array_equal(got[:, j], solve(fct, block[:, j]))
 
 
+@pytest.mark.parametrize("layout", ["C", "fortran", "strided", "read-only"])
+def test_solve_many_leaves_its_block_unchanged(layout):
+    # The kernel runs in place on its own copy; the caller's memory, whatever
+    # its layout, is only read.
+    fct = decompose(SystemSpec(33, -5.0, 2.0))
+    source = np.random.default_rng(34).standard_normal((33, 12))
+    if layout == "C":
+        block = source[:, :4].copy()
+        source = block
+    elif layout == "fortran":
+        block = source = np.asfortranarray(source[:, :4])
+    elif layout == "strided":
+        block = source[:, ::3]
+    else:
+        block = source = source[:, :4].copy()
+        block.flags.writeable = False
+    before = source.copy()
+    got = solve_many(fct, block)
+    assert np.array_equal(source, before)
+    assert not np.shares_memory(got, source)
+
+
+def test_solve_many_4096_fortran_block_matches_columns():
+    # Fortran order makes block.T C-contiguous already; the copy still runs,
+    # and each column comes out bit for bit as its own solve.
+    fct = decompose(SystemSpec(4096, 2.0001, 1.0))
+    block = np.asfortranarray(np.random.default_rng(4096).standard_normal((4096, 3)))
+    got = solve_many(fct, block)
+    for j in range(3):
+        assert np.array_equal(got[:, j], solve(fct, block[:, j]))
+
+
 def test_solve_many_empty_block():
     fct = decompose(SystemSpec(5, 5.0, 2.0))
     out = solve_many(fct, np.empty((5, 0)))
@@ -133,6 +165,16 @@ def test_solve_many_names_offending_column():
     block = np.ones((5, 3))
     block[2, 1] = np.nan
     with pytest.raises(GrowthOverflowError, match="column 2"):
+        solve_many(fct, block)
+
+
+@pytest.mark.parametrize("first, second", [(np.nan, np.inf), (np.inf, np.nan)])
+def test_solve_many_names_the_lower_of_two_bad_columns(first, second):
+    fct = decompose(SystemSpec(5, 5.0, 2.0))
+    block = np.ones((5, 4))
+    block[3, 1] = first
+    block[0, 3] = second
+    with pytest.raises(GrowthOverflowError, match="column 2: right-hand side entry 4 "):
         solve_many(fct, block)
 
 
