@@ -32,9 +32,12 @@ at reconstruction or solve time):
 
 Applying K, K^-1, R or R^-1 to a vector costs O(n); K and R are one
 in-place pass each, shared by the solver and reconstruct.  Solving
-A1^T x = y is O(n) too: row i divided by f_i f_{i+1} reads
-u_i = u_{i+1} - (y_i - x_n) / (f_i f_{i+1}) for u_i = x_i / f_i, one
-reversed prefix sum.  Materialization (for verification) is capped at 10**4.
+A1^T x = y, the solver's back substitution, is O(n) too: row i divided by
+f_i f_{i+1} reads u_i = u_{i+1} - (y_i - x_n) / (f_i f_{i+1}) for
+u_i = x_i / f_i, one reversed prefix sum.  For y = e_n those sums
+telescope, so the closure row of A1^-1 is the closed form
+m_i = (f_i + f_{n-i}) / (f_n g) and runs no pass.  Materialization (for
+verification) is capped at 10**4.
 """
 
 import contextlib
@@ -76,10 +79,12 @@ class Factorization:
     g : float or None (None for the tridiagonal variant)
     variant : "circulant" or "tridiagonal"
 
-    The arrays are stored read-only; no public operation mutates a
-    Factorization after construction.  A float64 array that is already
-    read-only and owns its memory (as ``decompose`` hands over) is kept as
-    is; anything else is copied, never frozen in place.
+    A circulant g = 0 (a singular matrix) raises SingularPivotError here,
+    so no solve or inverse checks it again.  The arrays are stored
+    read-only; no public operation mutates a Factorization after
+    construction.  A float64 array that is already read-only and owns its
+    memory (as ``decompose`` hands over) is kept as is; anything else is
+    copied, never frozen in place.
     """
 
     spec: SystemSpec
@@ -105,7 +110,10 @@ class Factorization:
                 )
             if self.g is None:
                 raise ValueError("circulant factorization requires the closure scalar g")
-            object.__setattr__(self, "g", float(self.g))
+            g = float(self.g)
+            if g == 0.0:
+                raise SingularPivotError("closure scalar g = 0: the matrix is singular")
+            object.__setattr__(self, "g", g)
         else:
             if r.size != 0:
                 raise ValueError("tridiagonal factorization carries no r coefficients")
@@ -134,10 +142,11 @@ class Factorization:
 class _SolvePlan(NamedTuple):
     """Scalars and views of f that every solve against one factorization uses.
 
-    The solve works on y / 2**s, with 2**s near sqrt|f_{n+1}| and 4**s at
-    most 2**1022.  That keeps f_i b_i / 2**s and every term of the back
-    substitution within about 2**+-520 even when |f_{n+1}| nears the
-    largest double.
+    Only the K pass, the A1^T back substitution and ``solver._solve`` read
+    it; nothing else knows the shift 2**s.  The solve works on y / 2**s,
+    with 2**s near sqrt|f_{n+1}| and 4**s at most 2**1022.  That keeps
+    f_i b_i / 2**s and every term of the back substitution within about
+    2**+-520 even when |f_{n+1}| nears the largest double.
     """
 
     shift: int  # s
@@ -268,12 +277,12 @@ def apply_r_inverse(fct, x):
     return _r_pass(fct, _check_vector(fct, x).copy(), -1.0)
 
 
-def _solve_a1_transpose(fct, out, scale):
+def _solve_a1_transpose(fct, out):
     """Solve A1^T x = y in place, for y of shape (n,) or (k, n), in O(n k).
 
-    ``out`` holds y / 2**s on entry (s from the solve plan) and
-    x * scale / 2**s on return, where ``scale`` is 4**s or within a factor
-    of two of it.  Row i of A1^T x = y reads
+    The solve's back substitution.  ``out`` holds y / 2**s on entry (s from
+    the solve plan) and x * t / 2**s on return, where t = ``a_scale`` is
+    4**s over the mantissa of a.  Row i of A1^T x = y reads
     f_i x_{i+1} - f_{i+1} x_i = y_i - x_n, so u_i = x_i / f_i obeys
 
         u_i = x_n / f_n + sum_{k=i}^{n-1} (x_n - y_k) / (f_k f_{k+1}),
@@ -281,7 +290,7 @@ def _solve_a1_transpose(fct, out, scale):
 
     one reversed prefix sum.  The tridiagonal variant has no x_n coupling,
     and its sum of -y_k / (f_k f_{k+1}) runs to k = n.  The terms are
-    formed as ((x_n - y_k) / f_k * scale) / f_{k+1}, so that none of them
+    formed as ((x_n - y_k) / f_k * t) / f_{k+1}, so that none of them
     leaves the normal range.
     """
     plan = fct._plan
@@ -289,8 +298,6 @@ def _solve_a1_transpose(fct, out, scale):
     corner = out.T  # entry j: a scalar, or the k right-hand sides' entries
     circulant = fct.variant == CIRCULANT
     if circulant:
-        if fct.g == 0.0:
-            raise SingularPivotError("closure scalar g = 0: the matrix is singular")
         corner[m] /= fct.g
         x_n = corner[m]  # x_n / 2**s
     else:
@@ -298,7 +305,7 @@ def _solve_a1_transpose(fct, out, scale):
     body = out[..., :m]
     np.subtract(x_n, body.T, body.T)  # x_n broadcasts along the k axis
     np.divide(body, plan.lower, body)
-    np.multiply(out, scale, out)
+    np.multiply(out, plan.a_scale, out)
     np.divide(body, plan.upper, body)
     if circulant:
         corner[m] /= plan.pivots[m]  # scale x_n / (2**s f_n), the last u
@@ -310,22 +317,17 @@ def _solve_a1_transpose(fct, out, scale):
 
 
 def a1_inverse_last_row(fct):
-    """Last row of A1^-1 for the circulant variant, by substitution in O(n).
+    """Last row of A1^-1 for the circulant variant, in closed form, O(n).
 
-    The printed closed form for this row does not hold; solving
-    A1^T m = e_n (from the corner pivot g upward) does, and is what the
-    dense A1^-1 uses.  e_n enters only through m_n = 1 / g, and |g| is of
-    the order of 4**s, so the pass runs on 4**s e_n (handed over as
-    2**s e_n, the kernel's y / 2**s) at the scale 4**s, which keeps the
-    row near unit size; the 8**s multiple it returns is scaled back
-    exactly.
+    m_i = (f_i + f_{n-i}) / (f_n g) for i = 1 .. n.  This row solves
+    A1^T m = e_n: the suffix sums of 1 / (f_k f_{k+1}) in the back
+    substitution telescope by f_{p+1} f_{q+1} - f_p f_q = f_{p+q+1}.
+    For |d| > 2, |f_k| is convex in k, so |f_i + f_{n-i}| <= |f_n|:
+    dividing by f_n before g leaves no intermediate above 1 in magnitude.
     """
     _require_circulant(fct, "the closure row of A1^-1")
-    s = fct._plan.shift
-    out = np.zeros(fct.spec.n)
-    out[-1] = math.ldexp(1.0, s)
-    _solve_a1_transpose(fct, out, math.ldexp(1.0, 2 * s))
-    return np.ldexp(out, -3 * s, out)
+    n = fct.spec.n
+    return (fct.f[1 : n + 1] + fct.f[n - 1 :: -1]) / fct.f[n] / fct.g
 
 
 def _dense_k(fct):

@@ -16,7 +16,7 @@ or any n x n scratch array beyond the result.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GrowthOverflowError, SingularPivotError, VariantMismatchError
+from .errors import GrowthOverflowError, VariantMismatchError
 from .factors import CIRCULANT, Factorization, _guard_dense
 
 
@@ -68,8 +68,6 @@ def inverse_first_row(fct: Factorization) -> np.ndarray:
             "the first-row shortcut relies on circulant structure; "
             "use inverse_dense for the tridiagonal variant"
         )
-    if fct.g == 0.0:
-        raise SingularPivotError("closure scalar g = 0: the matrix is singular")
     n = fct.spec.n
     v = (fct.f[:n] + fct.f[n:0:-1]) / fct.g
     # Largest entry: max |v_j| / |a|; a float division gives inf silently.

@@ -142,7 +142,7 @@ def generate_f(source, m):
 
     Examples
     --------
-    >>> generate_f(2.5, 6)
+    >>> generate_f(2.5, 6)  # doctest: +NORMALIZE_WHITESPACE
     array([  0.     ,   1.     ,  -2.5    ,   5.25   , -10.625  ,
             21.3125 , -42.65625])
     """

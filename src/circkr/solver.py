@@ -64,7 +64,7 @@ def _solve(fct, rhs, e, top, out=None):
     _k_pass(fct, out)
     if fct.variant == CIRCULANT:
         _r_pass(fct, out)
-    _solve_a1_transpose(fct, out, plan.a_scale)
+    _solve_a1_transpose(fct, out)
     # Only an upward rescale can leave the range; numpy would warn about it
     # before the check below raises.  A per-call errstate costs 1-2 us.
     if top + plan.a_unshift > 0:

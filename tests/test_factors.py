@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -7,6 +9,7 @@ from circkr import (
     TRIDIAGONAL,
     DimensionMismatchError,
     Factorization,
+    SingularPivotError,
     SizeGuardError,
     SystemSpec,
     VariantMismatchError,
@@ -21,7 +24,7 @@ from circkr import (
 )
 from circkr.factors import FACTOR_NAMES, a1_inverse_last_row
 
-from grids import IDENTITY_N, peak_doubles
+from grids import GRID_D, IDENTITY_N, peak_doubles
 
 SAMPLE_D = (2.05, -2.05, 2.5, -5.0, 100.0)
 
@@ -89,6 +92,13 @@ class TestFactorizationContainer:
             Factorization(spec, f, np.empty(0), 1.0, variant=TRIDIAGONAL)
         with pytest.raises(ValueError):
             Factorization(spec, f, np.zeros(4), 1.0, variant="banded")
+
+    def test_zero_closure_scalar_is_refused(self):
+        # g = 0 makes the circulant matrix singular; the constructor refuses
+        # it, so no solve or inverse ever divides by it.
+        good = decompose(SystemSpec(5, 5.0, 2.0))
+        with pytest.raises(SingularPivotError, match="g = 0"):
+            Factorization(good.spec, good.f, good.r, 0.0)
 
 
 class TestFastActions:
@@ -208,6 +218,59 @@ class TestDenseForms:
         fake = Factorization(spec, np.ones(n + 2), np.ones(n - 1), 1.0)
         with pytest.raises(SizeGuardError):
             materialize(fake, "K")
+
+
+def _exact_closure_row(n, d):
+    """Last row of A1^-1 by rational back substitution of A1^T m = e_n.
+
+    Independent of the closed form: f and the sum form of g are rebuilt in
+    exact arithmetic from the float ratio d.
+    """
+    d = Fraction(d)
+    f = [Fraction(0), Fraction(1)]
+    for _ in range(n):
+        f.append(-d * f[-1] - f[-2])
+    r = [f[n] / (f[j] * f[j + 1]) for j in range(1, n)]
+    g = 1 - f[n + 1] + sum(r) + r[-1] * f[n - 1]
+    # Column j of A1 is -f_{j+1} on the diagonal, f_j below it (f_{n-1} + 1
+    # in the last row for j = n - 1) and 1 in the last row before that.
+    m = [Fraction(0)] * n
+    m[-1] = 1 / g
+    m[-2] = m[-1] * (f[n - 1] + 1) / f[n]
+    for j in range(n - 3, -1, -1):
+        m[j] = (m[j + 1] * f[j + 1] + m[-1]) / f[j + 2]
+    return np.array([float(v) for v in m])
+
+
+class TestClosureRow:
+    @pytest.mark.parametrize("n", IDENTITY_N)
+    @pytest.mark.parametrize("d", GRID_D)
+    def test_matches_rational_back_substitution(self, n, d):
+        m = a1_inverse_last_row(decompose(SystemSpec(n, d, 1.0)))
+        exact = _exact_closure_row(n, d)
+        scale = np.abs(exact).max()
+        assert np.abs(m - exact).max() <= 64 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize(
+        "n, d, a",
+        [
+            (154, 100.0, 1.0),
+            (1023, 2.5, 1e-200),
+            (70518, 2.0001, 3e150),
+            (70518, -2.0001, 3e150),
+        ],
+    )
+    def test_stays_finite_and_solves_at_the_edge_of_the_range(self, n, d, a):
+        # |f_{n+1}| is near the largest double.  m is column n of A^-1
+        # times a / f_n, so the stencil m_{i-1} + d m_i + m_{i+1} (cyclic)
+        # must give e_n / f_n.
+        fct = decompose(SystemSpec(n, d * a, a))
+        m = a1_inverse_last_row(fct)
+        assert np.isfinite(m).all()
+        residual = np.roll(m, 1) + d * m + np.roll(m, -1)
+        residual[-1] -= 1.0 / fct.f[n]
+        bound = 16 * np.finfo(float).eps * (abs(d) + 2.0) * np.abs(m).max()
+        assert np.abs(residual).max() <= bound
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from circkr import (
     Factorization,
     GrowthOverflowError,
-    SingularPivotError,
     SizeGuardError,
     SystemSpec,
     TRIDIAGONAL,
@@ -166,12 +165,6 @@ class TestFirstRow:
         for n, d, a in grid_cases():
             row = inverse_first_row(decompose(_spec(n, d, a)))
             assert np.array_equal(row[1:], row[:0:-1]), (n, d, a)
-
-    def test_singular_closure_scalar_raises(self):
-        good = decompose(SystemSpec(5, 5.0, 2.0))
-        fct = Factorization(good.spec, good.f, good.r, 0.0)
-        with pytest.raises(SingularPivotError):
-            inverse_first_row(fct)
 
     @pytest.mark.parametrize(
         "n, d, a",
