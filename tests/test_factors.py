@@ -9,7 +9,6 @@ from circkr import (
     TRIDIAGONAL,
     DimensionMismatchError,
     Factorization,
-    SingularPivotError,
     SizeGuardError,
     SystemSpec,
     VariantMismatchError,
@@ -92,13 +91,6 @@ class TestFactorizationContainer:
             Factorization(spec, f, np.empty(0), 1.0, variant=TRIDIAGONAL)
         with pytest.raises(ValueError):
             Factorization(spec, f, np.zeros(4), 1.0, variant="banded")
-
-    def test_zero_closure_scalar_is_refused(self):
-        # g = 0 makes the circulant matrix singular; the constructor refuses
-        # it, so no solve or inverse ever divides by it.
-        good = decompose(SystemSpec(5, 5.0, 2.0))
-        with pytest.raises(SingularPivotError, match="g = 0"):
-            Factorization(good.spec, good.f, good.r, 0.0)
 
 
 class TestFastActions:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from circkr import (
     Factorization,
     GrowthOverflowError,
+    SingularPivotError,
     SizeGuardError,
     SystemSpec,
     TRIDIAGONAL,
@@ -165,6 +166,13 @@ class TestFirstRow:
         for n, d, a in grid_cases():
             row = inverse_first_row(decompose(_spec(n, d, a)))
             assert np.array_equal(row[1:], row[:0:-1]), (n, d, a)
+
+    def test_singular_closure_scalar_raises(self):
+        # g = 0 is refused when the factorization is built, before the
+        # first row divides by it.
+        good = decompose(SystemSpec(5, 5.0, 2.0))
+        with pytest.raises(SingularPivotError, match="g = 0"):
+            inverse_first_row(Factorization(good.spec, good.f, good.r, 0.0))
 
     @pytest.mark.parametrize(
         "n, d, a",

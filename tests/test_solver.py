@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 
 from circkr import (
     DimensionMismatchError,
+    Factorization,
     GrowthOverflowError,
+    SingularPivotError,
     SystemSpec,
     TRIDIAGONAL,
     build_dense,
@@ -196,6 +198,15 @@ def test_rejects_wrong_length():
     fct = decompose(SystemSpec(5, 5.0, 2.0))
     with pytest.raises(DimensionMismatchError, match="right-hand side must be a vector"):
         solve(fct, np.ones(6))
+
+
+def test_singular_closure_guard():
+    # A hand-built factorization with g = 0 never reaches a divide: the
+    # constructor refuses it.
+    spec = SystemSpec(5, 5.0, 2.0)
+    good = decompose(spec)
+    with pytest.raises(SingularPivotError, match="g = 0"):
+        solve(Factorization(spec, good.f, good.r, 0.0), np.ones(5))
 
 
 class TestOperationCount:
