@@ -7,6 +7,12 @@ failures exit nonzero with a machine-parsable first stderr line of the form
 the payload alone on stdout, or in the ``--out`` file when given.  Setting
 the environment variable ``CIRCKR_STRICT=0`` selects permissive validation
 of the system description.
+
+Every right-hand-side file is read as an (n, k) block and solved with
+``solve_many``; a single column, or a single line of n values, is one
+right-hand side.  One row writer prints every numeric payload at
+``--precision`` (>= 0) significant digits: solutions space-separated, the
+inverse and the dense factors comma-separated.
 """
 
 import argparse
@@ -35,20 +41,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(value, precision):
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return f"{value:.{precision}g}"
+def _rows(matrix, precision, sep):
+    """Text of a 2-D payload: one line per row, each value as %.{precision}g.
+
+    Formats about 4096 values at a time into one string of whole rows, so no
+    list of n^2 Python floats is ever held.  Adding 0.0 prints -0.0 as 0.
+    """
+    line = sep.join([f"%.{precision}g"] * matrix.shape[1])
+    step = max(1, 4096 // matrix.shape[1])
+    blocks = (matrix[i : i + step] + 0.0 for i in range(0, len(matrix), step))
+    return ["\n".join([line] * len(b)) % tuple(b.ravel().tolist()) for b in blocks]
 
 
 def _exact(value):
     # Shortest decimal string that round-trips; used for factor-report scalars.
     return repr(float(value))
-
-
-def _csv_rows(matrix, precision):
-    return [", ".join(_fmt(v, precision) for v in row) for row in matrix]
 
 
 def _factorize(ns):
@@ -79,7 +86,8 @@ def _read_rhs(path):
         raise UsageError(f"cannot read right-hand side file {path}: {err}") from None
     except ValueError as err:
         raise UsageError(f"cannot parse right-hand side file {path}: {err}") from None
-    return data
+    # One column, or one line of n values, is a single right-hand side.
+    return data[:, None] if data.ndim == 1 else data
 
 
 def cmd_decompose(ns):
@@ -101,28 +109,21 @@ def cmd_decompose(ns):
             if fct.variant != CIRCULANT and name.startswith("R"):
                 continue  # the tridiagonal variant has R = I
             lines.append(f"{name} =")
-            lines.extend(_csv_rows(materialize(fct, name), ns.precision))
+            lines.extend(_rows(materialize(fct, name), ns.precision, ", "))
     _emit(ns, lines)
     return 0
 
 
 def cmd_solve(ns):
     _, fct = _factorize(ns)
-    rhs = _read_rhs(ns.rhs)
-    if rhs.ndim == 1:
-        x = solve(fct, rhs)
-        lines = [_fmt(v, ns.precision) for v in x]
-    else:
-        x = solve_many(fct, rhs)
-        lines = [" ".join(_fmt(v, ns.precision) for v in row) for row in x]
-    _emit(ns, lines)
+    _emit(ns, _rows(solve_many(fct, _read_rhs(ns.rhs)), ns.precision, " "))
     return 0
 
 
 def cmd_invert(ns):
     _, fct = _factorize(ns)
     rows = inverse_first_row(fct)[None] if ns.mode == "first-row" else inverse_dense(fct)
-    _emit(ns, _csv_rows(rows, ns.precision))
+    _emit(ns, _rows(rows, ns.precision, ", "))
     return 0
 
 
@@ -225,7 +226,7 @@ def _add_system_arguments(parser, payload=True):
             "--precision",
             type=int,
             default=6,
-            help="significant digits for payload scalars (default 6)",
+            help="significant digits (>= 0) for payload scalars (default 6)",
         )
         parser.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -271,6 +272,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        if getattr(ns, "precision", 0) < 0:
+            raise UsageError(f"argument --precision: must be >= 0, got {ns.precision}")
         return ns.func(ns)
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else 0

@@ -51,9 +51,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    GrowthOverflowError,
     SingularPivotError,
     SizeGuardError,
     VariantMismatchError,
+    ZeroPivotError,
 )
 from .recurrence import SystemSpec
 
@@ -84,7 +86,11 @@ class Factorization:
     read-only; no public operation mutates a Factorization after
     construction.  A float64 array that is already read-only and owns its
     memory (as ``decompose`` hands over) is kept as is; anything else is
-    copied, never frozen in place.
+    copied, never frozen in place.  When either array is copied, its values
+    are checked too: a zero among f_1 .. f_{n+1}, which the kernels divide
+    by, raises ZeroPivotError, and a non-finite f, r or g raises
+    GrowthOverflowError.  ``decompose``'s own arrays hold both properties
+    and are not scanned again.
     """
 
     spec: SystemSpec
@@ -119,6 +125,8 @@ class Factorization:
                 raise ValueError("tridiagonal factorization carries no r coefficients")
             if self.g is not None:
                 raise ValueError("tridiagonal factorization carries no closure scalar")
+        if f is not self.f or r is not self.r:
+            _check_values(f, r, self.g)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "r", r)
 
@@ -169,6 +177,21 @@ def _read_only(x):
     x = np.array(x, dtype=float)
     x.flags.writeable = False
     return x
+
+
+def _check_values(f, r, g):
+    # Only for copied arrays: the kernels divide by f_1 .. f_{n+1}.
+    for name, x, first in (("f", f, 0), ("r", r, 1)):
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            i = int(bad[0]) + first
+            raise GrowthOverflowError(f"{name}_{i} = {x[i - first]} is not finite", failing_index=i)
+    if g is not None and not math.isfinite(g):
+        raise GrowthOverflowError(f"closure scalar g = {g} is not finite")
+    zeros = np.flatnonzero(f[1:] == 0.0)
+    if zeros.size:
+        i = int(zeros[0]) + 1
+        raise ZeroPivotError(f"pivot f_{i} = 0: the solve and inverses divide by it", index=i)
 
 
 class OperationCounter:

@@ -7,7 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
-from circkr.cli import _fmt, main
+from circkr import (
+    SystemSpec,
+    decompose,
+    decompose_tridiagonal,
+    inverse_dense,
+    inverse_first_row,
+    materialize,
+    solve,
+)
+from circkr.cli import _rows, main
+from circkr.factors import FACTOR_NAMES
 
 from grids import peak_doubles
 
@@ -149,6 +159,38 @@ class TestSolveCommand:
         assert run_cli("solve", *FIXTURE, "--rhs", str(rhs)) == 5
         assert capsys.readouterr().err.startswith("ERROR DimensionMismatch: right-hand side")
 
+    def test_one_line_is_one_column(self, capsys, tmp_path):
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("1 0 0 0 0\n")
+        assert run_cli("solve", *FIXTURE, "--rhs", str(rhs)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["0.313131", "-0.141414", "0.040404", "0.040404", "-0.141414"]
+
+    def test_empty_rhs_file(self, capsys, tmp_path):
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("")
+        assert run_cli("solve", *FIXTURE, "--rhs", str(rhs)) == 5
+        out = capsys.readouterr()
+        assert out.err.startswith("ERROR DimensionMismatch:")
+        assert out.out == ""
+
+    def test_one_column_error_details(self, capsys, tmp_path):
+        # A one-column file is a block of one right-hand side, and its
+        # errors say so.
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("1\n2\n3\n")
+        assert run_cli("solve", *FIXTURE, "--rhs", str(rhs)) == 5
+        assert capsys.readouterr().err == (
+            "ERROR DimensionMismatch: right-hand side block must have shape (5, k), "
+            "got (3, 1)\n"
+        )
+        rhs.write_text("1\n0\ninf\n0\n0\n")
+        assert run_cli("solve", *FIXTURE, "--rhs", str(rhs)) == 3
+        assert capsys.readouterr().err == (
+            "ERROR Overflow: right-hand side column 1: right-hand side entry 3 "
+            "is not finite (inf)\n"
+        )
+
     def test_non_finite_rhs(self, capsys, tmp_path):
         rhs = tmp_path / "rhs.txt"
         rhs.write_text("1\nnan\n0\n0\n0\n")
@@ -161,6 +203,69 @@ class TestSolveCommand:
         target = tmp_path / "missing-dir" / "solution.txt"
         assert run_cli("solve", *FIXTURE, "--rhs", str(rhs), "--out", str(target)) == 2
         assert capsys.readouterr().err.startswith("ERROR Usage:")
+
+
+def _old_rule(value, precision):
+    # The per-value rule the CLI has always printed by: -0.0 prints as 0.
+    value = float(value)
+    return f"{(0.0 if value == 0.0 else value):.{precision}g}"
+
+
+def _expected(matrix, precision, sep):
+    return [sep.join(_old_rule(v, precision) for v in row) for row in matrix]
+
+
+class TestPayloadText:
+    """Every numeric payload is the library's own array, value by value."""
+
+    SYSTEM = ["--n", "12", "--c", "2.75", "--a", "1.25"]
+
+    @staticmethod
+    def _factorization(variant):
+        build = decompose if variant == "circulant" else decompose_tridiagonal
+        return build(SystemSpec(12, 2.75, 1.25))
+
+    @pytest.mark.parametrize("precision", [0, 6, 17])
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    def test_solve(self, capsys, tmp_path, variant, precision):
+        fct = self._factorization(variant)
+        block = np.random.default_rng(precision).standard_normal((12, 3))
+        block[:, 1] = 0.0
+        assert np.signbit(solve(fct, block[:, 1])).any()  # -0.0 entries
+        rhs = tmp_path / "rhs.txt"
+        for columns in ([0], [1], [0, 1, 2]):
+            rows = block[:, columns].tolist()
+            rhs.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+            argv = ("solve", *self.SYSTEM, "--variant", variant, "--rhs", str(rhs))
+            assert run_cli(*argv, "--precision", str(precision)) == 0
+            x = np.stack([solve(fct, block[:, j]) for j in columns], axis=1)
+            assert capsys.readouterr().out.splitlines() == _expected(x, precision, " ")
+
+    @pytest.mark.parametrize("precision", [0, 6, 17])
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    def test_invert_and_dense_factors(self, capsys, variant, precision):
+        fct = self._factorization(variant)
+        argv = (*self.SYSTEM, "--variant", variant, "--precision", str(precision))
+        assert run_cli("invert", *argv) == 0
+        expected = _expected(inverse_dense(fct), precision, ", ")
+        assert capsys.readouterr().out.splitlines() == expected
+        if variant == "circulant":
+            assert run_cli("invert", *argv, "--mode", "first-row") == 0
+            expected = _expected([inverse_first_row(fct)], precision, ", ")
+            assert capsys.readouterr().out.splitlines() == expected
+        assert run_cli("decompose", *argv, "--dense") == 0
+        out = capsys.readouterr().out
+        for name in FACTOR_NAMES:
+            if variant == "tridiagonal" and name.startswith("R"):
+                continue
+            rows = out.split(f"\n{name} =\n", 1)[1].splitlines()[:12]
+            assert rows == _expected(materialize(fct, name), precision, ", ")
+
+    def test_rows_span_many_chunks(self):
+        # 4096 values per chunk: rows of 1000 make chunks of four rows.
+        matrix = np.random.default_rng(3).standard_normal((9, 1000)) * 1e-300
+        matrix[4, 7] = -0.0
+        assert "\n".join(_rows(matrix, 17, ", ")).splitlines() == _expected(matrix, 17, ", ")
 
 
 class TestInvertCommand:
@@ -316,9 +421,19 @@ class TestParsing:
         assert "decompose" in capsys.readouterr().out
 
     def test_fmt_normalizes_negative_zero(self):
-        assert _fmt(-0.0, 6) == "0"
-        assert _fmt(0.0, 6) == "0"
-        assert _fmt(-1.5, 3) == "-1.5"
+        assert _rows(np.array([[-0.0]]), 6, " ") == ["0"]
+        assert _rows(np.array([[0.0]]), 6, " ") == ["0"]
+        assert _rows(np.array([[-1.5]]), 3, " ") == ["-1.5"]
+
+    @pytest.mark.parametrize("command", ["solve", "invert"])
+    def test_negative_precision_is_a_usage_error(self, capsys, tmp_path, command):
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("1\n0\n0\n0\n0\n")
+        extra = ["--rhs", str(rhs)] if command == "solve" else []
+        assert run_cli(command, *FIXTURE, *extra, "--precision", "-1") == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("ERROR Usage: argument --precision:")
+        assert out.out == ""
 
 
 class TestProcessLevel:

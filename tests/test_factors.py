@@ -9,9 +9,11 @@ from circkr import (
     TRIDIAGONAL,
     DimensionMismatchError,
     Factorization,
+    GrowthOverflowError,
     SizeGuardError,
     SystemSpec,
     VariantMismatchError,
+    ZeroPivotError,
     apply_k,
     apply_k_inverse,
     apply_r,
@@ -21,7 +23,8 @@ from circkr import (
     generate_f,
     materialize,
 )
-from circkr.factors import FACTOR_NAMES, a1_inverse_last_row
+from circkr import factors
+from circkr.factors import FACTOR_NAMES, VARIANTS, a1_inverse_last_row
 
 from grids import GRID_D, IDENTITY_N, peak_doubles
 
@@ -36,6 +39,11 @@ def fct5():
 @pytest.fixture
 def trid5():
     return decompose_tridiagonal(SystemSpec(5, 5.0, 2.0))
+
+
+def _five(variant):
+    make = decompose if variant == CIRCULANT else decompose_tridiagonal
+    return make(SystemSpec(5, 5.0, 2.0))
 
 
 def _cases(variant=CIRCULANT):
@@ -91,6 +99,49 @@ class TestFactorizationContainer:
             Factorization(spec, f, np.empty(0), 1.0, variant=TRIDIAGONAL)
         with pytest.raises(ValueError):
             Factorization(spec, f, np.zeros(4), 1.0, variant="banded")
+
+    # f_1, f_3 and f_{n+1} at n = 5: the solve divides by f_3, and
+    # apply_k_inverse, reconstruct and the tridiagonal inverse by f_{n+1}.
+    @pytest.mark.parametrize("i", [1, 3, 6])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_copied_zero_pivot_is_refused(self, variant, i):
+        built = _five(variant)
+        f = built.f.copy()
+        f[i] = 0.0
+        with pytest.raises(ZeroPivotError, match=f"f_{i} = 0") as info:
+            Factorization(built.spec, f, built.r, built.g, variant)
+        assert info.value.index == i
+
+    @pytest.mark.parametrize("variant, field, i, value", [
+        *[(v, "f", i, x) for v in VARIANTS for i, x in ((2, np.nan), (0, np.inf), (6, -np.inf))],
+        (CIRCULANT, "r", 1, np.nan), (CIRCULANT, "g", None, np.nan),
+        (CIRCULANT, "g", None, np.inf),
+    ])
+    def test_copied_non_finite_value_is_refused(self, variant, field, i, value):
+        built = _five(variant)
+        parts = {"f": built.f.copy(), "r": built.r.copy(), "g": built.g}
+        if field == "g":
+            parts["g"] = value
+        else:
+            parts[field][i] = value
+        with pytest.raises(GrowthOverflowError, match="not finite"):
+            Factorization(built.spec, variant=variant, **parts)
+
+    @pytest.mark.parametrize("build", [decompose, decompose_tridiagonal])
+    def test_decompose_handoff_is_not_scanned(self, monkeypatch, build):
+        spec = SystemSpec(64, 2.05, 1.0)
+        before = build(spec)
+
+        def scanned(*args):
+            raise AssertionError("decompose's own arrays were scanned again")
+
+        monkeypatch.setattr(factors, "_check_values", scanned)
+        after = build(spec)
+        assert after.f.tobytes() == before.f.tobytes()
+        assert after.r.tobytes() == before.r.tobytes()
+        assert after.g == before.g
+        with pytest.raises(AssertionError):
+            Factorization(spec, before.f.copy(), before.r, before.g, before.variant)
 
 
 class TestFastActions:
