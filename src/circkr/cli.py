@@ -4,15 +4,21 @@ Five subcommands: decompose, solve, invert, check, bench.  All structured
 failures exit nonzero with a machine-parsable first stderr line of the form
 ``ERROR <kind>: <detail>`` (InvalidSpec and usage problems exit 2, Overflow
 3, singular pivots 4, DimensionMismatch 5, SizeGuard 6).  Success output is
-the payload alone on stdout, or in the ``--out`` file when given.  Setting
-the environment variable ``CIRCKR_STRICT=0`` selects permissive validation
-of the system description.
+the payload alone on stdout, or in the ``--out`` file when given; a
+failing command writes nothing there.  Payloads are written one chunk of
+rows at a time, never joined into one string, and a reader that closes
+stdout early (``| head``) ends the output quietly.  ``bench`` writes its
+table only once every order has run.  Setting the environment variable
+``CIRCKR_STRICT=0`` selects permissive validation of the system
+description.
 
 Every right-hand-side file is read as an (n, k) block and solved with
 ``solve_many``; a single column, or a single line of n values, is one
 right-hand side.  One row writer prints every numeric payload at
 ``--precision`` (>= 0) significant digits: solutions space-separated, the
-inverse and the dense factors comma-separated.
+inverse and the dense factors comma-separated.  The parser checks every
+numeric flag: ``--precision`` >= 0, ``--reps`` >= 1, and ``--sizes`` a
+comma-separated list of at least one integer.
 """
 
 import argparse
@@ -66,15 +72,24 @@ def _factorize(ns):
 
 
 def _emit(ns, lines):
-    text = "\n".join(lines) + "\n"
+    """Write each of ``lines`` (a line, or a chunk of rows) and a newline."""
+    chunks = (line + "\n" for line in lines)
     if getattr(ns, "out", None):
         try:
             with open(ns.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as err:
             raise UsageError(f"cannot write {ns.out}: {err}") from None
-    else:
-        sys.stdout.write(text)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; the interpreter's own flush at exit must not
+        # fail again on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _read_rhs(path):
@@ -180,19 +195,13 @@ def cmd_check(ns):
 
 
 def cmd_bench(ns):
-    try:
-        sizes = [int(part) for part in ns.sizes.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"cannot parse --sizes {ns.sizes!r}") from None
-    if not sizes:
-        raise UsageError("--sizes must name at least one order")
-    if ns.reps < 1:
-        raise UsageError("--reps must be at least 1")
-    print(f"benchmark: structured solve, d = {_exact(ns.d)}, "
-          f"median of {ns.reps} repetitions")
-    print(f"{'n':>8} {'factor_s':>12} {'solve_s':>12} {'ns_per_unknown':>16}")
+    lines = [
+        f"benchmark: structured solve, d = {_exact(ns.d)}, "
+        f"median of {ns.reps} repetitions",
+        f"{'n':>8} {'factor_s':>12} {'solve_s':>12} {'ns_per_unknown':>16}",
+    ]
     medians = []
-    for n in sizes:
+    for n in ns.sizes:
         t0 = time.perf_counter()
         _, fct = _factorize(argparse.Namespace(n=n, c=ns.d, a=1.0, variant=CIRCULANT))
         factor_s = time.perf_counter() - t0
@@ -204,11 +213,37 @@ def cmd_bench(ns):
             times.append(time.perf_counter() - t0)
         median = max(statistics.median(times), 1e-9)
         medians.append(median)
-        print(f"{n:>8d} {factor_s:>12.6f} {median:>12.6f} {median / n * 1e9:>16.1f}")
-    if len(sizes) > 1:
-        slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
-        print(f"log-log slope (solve time vs n) = {slope:.3f}")
+        lines.append(f"{n:>8d} {factor_s:>12.6f} {median:>12.6f} {median / n * 1e9:>16.1f}")
+    if len(ns.sizes) > 1:
+        slope = float(np.polyfit(np.log(ns.sizes), np.log(medians), 1)[0])
+        lines.append(f"log-log slope (solve time vs n) = {slope:.3f}")
+    _emit(ns, lines)
     return 0
+
+
+def _at_least(low):
+    # argparse type: an int >= low.  The messages follow argparse's own.
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _sizes(text):
+    # argparse type: a comma-separated list of at least one order.
+    try:
+        sizes = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+    if not sizes:
+        raise argparse.ArgumentTypeError("must name at least one order")
+    return sizes
 
 
 def _add_system_arguments(parser, payload=True):
@@ -224,7 +259,7 @@ def _add_system_arguments(parser, payload=True):
     if payload:
         parser.add_argument(
             "--precision",
-            type=int,
+            type=_at_least(0),
             default=6,
             help="significant digits (>= 0) for payload scalars (default 6)",
         )
@@ -258,11 +293,11 @@ def _build_parser():
     p.set_defaults(func=cmd_check)
 
     p = commands.add_parser("bench", help="time the structured solve across orders")
-    p.add_argument("--sizes", default="4096,8192,16384,32768,65536",
+    p.add_argument("--sizes", type=_sizes, default="4096,8192,16384,32768,65536",
                    help="comma-separated orders")
     p.add_argument("--d", type=float, default=2.0001,
                    help="normalized ratio, slow growth by default")
-    p.add_argument("--reps", type=int, default=10, help="repetitions per order")
+    p.add_argument("--reps", type=_at_least(1), default=10, help="repetitions per order")
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -272,8 +307,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        if getattr(ns, "precision", 0) < 0:
-            raise UsageError(f"argument --precision: must be >= 0, got {ns.precision}")
         return ns.func(ns)
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else 0

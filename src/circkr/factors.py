@@ -31,21 +31,15 @@ at reconstruction or solve time):
            and subdiagonal (f_1 .. f_{n-1}).
 
 Applying K, K^-1, R or R^-1 to a vector costs O(n); K and R are one
-in-place pass each, shared by the solver and reconstruct.  Solving
-A1^T x = y, the solver's back substitution, is O(n) too: row i divided by
-f_i f_{i+1} reads u_i = u_{i+1} - (y_i - x_n) / (f_i f_{i+1}) for
-u_i = x_i / f_i, one reversed prefix sum.  For y = e_n those sums
-telescope, so the closure row of A1^-1 is the closed form
-m_i = (f_i + f_{n-i}) / (f_n g) and runs no pass.  Materialization (for
-verification) is capped at 10**4.
+in-place pass each, shared by the solver and reconstruct.  The closure row
+of A1^-1 is the closed form m_i = (f_i + f_{n-i}) / (f_n g) and runs no
+pass.  Materialization (for verification) is capped at 10**4.
 """
 
 import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,14 +77,15 @@ class Factorization:
 
     A circulant g = 0 (a singular matrix) raises SingularPivotError here,
     so no solve or inverse checks it again.  The arrays are stored
-    read-only; no public operation mutates a Factorization after
-    construction.  A float64 array that is already read-only and owns its
-    memory (as ``decompose`` hands over) is kept as is; anything else is
-    copied, never frozen in place.  When either array is copied, its values
-    are checked too: a zero among f_1 .. f_{n+1}, which the kernels divide
-    by, raises ZeroPivotError, and a non-finite f, r or g raises
-    GrowthOverflowError.  ``decompose``'s own arrays hold both properties
-    and are not scanned again.
+    read-only; nothing writes to a Factorization after construction, and it
+    holds no cached state: each solve works out its own scaling.  A float64
+    array that is already read-only and owns its memory (as ``decompose``
+    hands over) is kept as is; anything else is copied, never frozen in
+    place.  When either array is copied, its values are checked too: a zero
+    among f_1 .. f_{n+1}, which the kernels divide by, raises
+    ZeroPivotError, and a non-finite f, r or g raises GrowthOverflowError.
+    ``decompose``'s own arrays hold both properties and are not scanned
+    again.
     """
 
     spec: SystemSpec
@@ -133,37 +128,6 @@ class Factorization:
     @property
     def n(self):
         return self.spec.n
-
-    @cached_property
-    def _plan(self):
-        n = self.spec.n
-        f = self.f
-        s = (math.frexp(f[n + 1])[1] - 1) // 2
-        m = n - 1 if self.variant == CIRCULANT else n
-        mantissa, exponent = math.frexp(self.spec.a)
-        return _SolvePlan(
-            s, m, f[1 : n + 1], f[1 : m + 1], f[2 : m + 2],
-            np.float64(math.ldexp(1.0 / mantissa, 2 * s)), -(s + exponent),
-        )
-
-
-class _SolvePlan(NamedTuple):
-    """Scalars and views of f that every solve against one factorization uses.
-
-    Only the K pass, the A1^T back substitution and ``solver._solve`` read
-    it; nothing else knows the shift 2**s.  The solve works on y / 2**s,
-    with 2**s near sqrt|f_{n+1}| and 4**s at most 2**1022.  That keeps
-    f_i b_i / 2**s and every term of the back substitution within about
-    2**+-520 even when |f_{n+1}| nears the largest double.
-    """
-
-    shift: int  # s
-    coupled: int  # unknowns whose rows carry an x_n term: n - 1, or n if none
-    pivots: np.ndarray  # f_1 .. f_n
-    lower: np.ndarray  # f_1 .. f_coupled
-    upper: np.ndarray  # f_2 .. f_{coupled + 1}
-    a_scale: float  # 4**s / m for a = m 2**p, 1/2 <= |m| < 1
-    a_unshift: int  # -(s + p)
 
 
 def _read_only(x):
@@ -210,9 +174,10 @@ def count_operations():
     """Context manager instrumenting solves made inside it.
 
     Yields an OperationCounter whose ``total`` grows by the size of the
-    buffer each K, R or A1^T pass transforms, so a block of k columns
-    counts k times.  Used to check that the solve does O(n) work.  The
-    scope is per context: solves on other threads are not counted.
+    buffer each pass transforms: the K and R passes here, and the A1^T back
+    substitution in ``solver._solve``.  A block of k columns counts k
+    times.  Used to check that the solve does O(n) work.  The scope is per
+    context: solves on other threads are not counted.
     """
     counter = OperationCounter()
     token = _counter.set(counter)
@@ -255,7 +220,7 @@ def _guard_dense(n):
 
 def _k_pass(fct, out):
     """y = K x in place along the last axis: one prefix sum of f_i x_i."""
-    np.multiply(out, fct._plan.pivots, out)
+    np.multiply(out, fct.f[1 : fct.spec.n + 1], out)
     np.add.accumulate(out, -1, None, out)
     _tally(out)
     return out
@@ -298,45 +263,6 @@ def apply_r_inverse(fct, x):
     """y = R^-1 x: the same rank-one update with the r block negated."""
     _require_circulant(fct, "the corner factor R")
     return _r_pass(fct, _check_vector(fct, x).copy(), -1.0)
-
-
-def _solve_a1_transpose(fct, out):
-    """Solve A1^T x = y in place, for y of shape (n,) or (k, n), in O(n k).
-
-    The solve's back substitution.  ``out`` holds y / 2**s on entry (s from
-    the solve plan) and x * t / 2**s on return, where t = ``a_scale`` is
-    4**s over the mantissa of a.  Row i of A1^T x = y reads
-    f_i x_{i+1} - f_{i+1} x_i = y_i - x_n, so u_i = x_i / f_i obeys
-
-        u_i = x_n / f_n + sum_{k=i}^{n-1} (x_n - y_k) / (f_k f_{k+1}),
-        x_n = y_n / g:
-
-    one reversed prefix sum.  The tridiagonal variant has no x_n coupling,
-    and its sum of -y_k / (f_k f_{k+1}) runs to k = n.  The terms are
-    formed as ((x_n - y_k) / f_k * t) / f_{k+1}, so that none of them
-    leaves the normal range.
-    """
-    plan = fct._plan
-    m = plan.coupled
-    corner = out.T  # entry j: a scalar, or the k right-hand sides' entries
-    circulant = fct.variant == CIRCULANT
-    if circulant:
-        corner[m] /= fct.g
-        x_n = corner[m]  # x_n / 2**s
-    else:
-        x_n = 0.0
-    body = out[..., :m]
-    np.subtract(x_n, body.T, body.T)  # x_n broadcasts along the k axis
-    np.divide(body, plan.lower, body)
-    np.multiply(out, plan.a_scale, out)
-    np.divide(body, plan.upper, body)
-    if circulant:
-        corner[m] /= plan.pivots[m]  # scale x_n / (2**s f_n), the last u
-    backward = out[..., ::-1]
-    np.add.accumulate(backward, -1, None, backward)
-    np.multiply(out, plan.pivots, out)
-    _tally(out)
-    return out
 
 
 def a1_inverse_last_row(fct):

@@ -7,17 +7,23 @@ block of k of them (held as the rows of a (k, n) buffer):
     b / 2**(e + s)            exact rescale; b / 2**e lies in [-1, 1)
     y = K (b / 2**(e + s))    ``_k_pass``: one prefix sum of f_i b_i
     y = R y                   ``_r_pass``: y_n += r . y[:n-1] (circulant only)
-    A1^T x = y                ``_solve_a1_transpose``: one reversed prefix sum
+    A1^T x = y                back substitution: one reversed prefix sum
     x * 2**(e + s) / a        exact rescale, a's mantissa applied on the way
 
-The back substitution needs no per-element loop: with u_i = x_i / f_i,
+The back substitution needs no per-element loop.  Row i of A1^T x = y reads
+f_i x_{i+1} - f_{i+1} x_i = y_i - x_n, so u_i = x_i / f_i obeys
 
     u_i = x_n / f_n + sum_{k=i}^{n-1} (x_n - y_k) / (f_k f_{k+1}),
     x_n = y_n / g,
 
-and the tridiagonal variant drops x_n and runs the sum to k = n.  The
-shift 2**s, near sqrt|f_{n+1}|, keeps every intermediate in the normal
-64-bit range however close |f_{n+1}| comes to the largest double.
+and the tridiagonal variant drops x_n and runs the sum to k = n.  Each
+term is formed as ((x_n - y_k) / f_k * t) / f_{k+1}, with t = 4**s over
+the mantissa of a.  The shift 2**s, with s = (e_{n+1} - 1) // 2 for
+|f_{n+1}| = m 2**e_{n+1}, is near sqrt|f_{n+1}|, so 4**s is at most
+2**1022.  That keeps f_i b_i / 2**s and every term within about 2**+-520
+however close |f_{n+1}| comes to the largest double.  Each solve works out
+s and the mantissa and exponent of a afresh; nothing is cached on the
+factorization.
 
 A block is first copied into the (k, n) buffer, the one copy the kernel
 needs.  Each column's exponent e is read from that contiguous copy, so
@@ -35,7 +41,7 @@ from .factors import (
     _check_vector,
     _k_pass,
     _r_pass,
-    _solve_a1_transpose,
+    _tally,
     count_operations,
 )
 
@@ -54,23 +60,41 @@ def _solve(fct, rhs, e, top, out=None):
 
     ``e`` holds each right-hand side's power-of-two exponent (an int, or a
     (k, 1) array) and ``top`` the largest of them.  The passes run on
-    b / 2**(e + s), an exact rescale that keeps every product f_i b_i in
-    range however large or small b is.  The back substitution also divides
-    by the mantissa of a, and one exact rescale at the end restores 2**e and
-    the exponent of a.
+    b / 2**(e + s), and one exact rescale at the end restores 2**e, 2**s
+    and the exponent of a.
     """
-    plan = fct._plan
-    out = np.ldexp(rhs, -plan.shift - e, out)
+    n = fct.spec.n
+    f = fct.f
+    circulant = fct.variant == CIRCULANT
+    m = n - 1 if circulant else n  # unknowns whose rows carry an x_n term
+    s = (math.frexp(f[n + 1])[1] - 1) // 2
+    mantissa, exponent = math.frexp(fct.spec.a)
+    out = np.ldexp(rhs, -s - e, out)
     _k_pass(fct, out)
-    if fct.variant == CIRCULANT:
+    corner = out.T  # entry j: a scalar, or the k right-hand sides' entries
+    x_n = 0.0
+    if circulant:
         _r_pass(fct, out)
-    _solve_a1_transpose(fct, out)
+        corner[m] /= fct.g
+        x_n = corner[m]  # x_n / 2**s
+    body = out[..., :m]
+    np.subtract(x_n, body.T, body.T)  # x_n broadcasts along the k axis
+    np.divide(body, f[1 : m + 1], body)
+    np.multiply(out, math.ldexp(1.0 / mantissa, 2 * s), out)
+    np.divide(body, f[2 : m + 2], body)
+    if circulant:
+        corner[m] /= f[n]  # scale x_n / (2**s f_n), the last u
+    backward = out[..., ::-1]
+    np.add.accumulate(backward, -1, None, backward)
+    np.multiply(out, f[1 : n + 1], out)
+    _tally(out)
     # Only an upward rescale can leave the range; numpy would warn about it
     # before the check below raises.  A per-call errstate costs 1-2 us.
-    if top + plan.a_unshift > 0:
+    unshift = -(s + exponent)
+    if top + unshift > 0:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _unscale(out, e + plan.a_unshift)
-    return _unscale(out, e + plan.a_unshift)
+            return _unscale(out, e + unshift)
+    return _unscale(out, e + unshift)
 
 
 def _unscale(out, exponent):

@@ -267,6 +267,17 @@ class TestPayloadText:
         matrix[4, 7] = -0.0
         assert "\n".join(_rows(matrix, 17, ", ")).splitlines() == _expected(matrix, 17, ", ")
 
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    def test_out_file_holds_the_text_once(self, tmp_path, variant):
+        # The inverse plus its text, written chunk by chunk: never the text
+        # joined into one string beside the chunks.
+        n = 600
+        target = tmp_path / "inverse.txt"
+        argv = ("invert", "--n", str(n), "--c", "2.05", "--a", "1", "--variant", variant,
+                "--precision", "17", "--out", str(target))
+        peak_bytes = 8 * peak_doubles(run_cli, *argv)
+        assert peak_bytes <= 8 * n * n + 1.5 * target.stat().st_size
+
 
 class TestInvertCommand:
     def test_first_row_fixture(self, capsys):
@@ -402,6 +413,13 @@ class TestBenchCommand:
         assert run_cli("bench", "--sizes", "64", "--reps", "0") == 2
         assert capsys.readouterr().err.startswith("ERROR Usage:")
 
+    def test_failing_order_leaves_stdout_empty(self, capsys):
+        # The table is written only once every order has run.
+        assert run_cli("bench", "--sizes", "64,2") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("ERROR InvalidSpec:")
+
 
 class TestParsing:
     def test_missing_subcommand(self, capsys):
@@ -434,6 +452,14 @@ class TestParsing:
         out = capsys.readouterr()
         assert out.err.startswith("ERROR Usage: argument --precision:")
         assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "value, detail",
+        [("-1", "must be >= 0, got -1"), ("abc", "invalid int value: 'abc'")],
+    )
+    def test_precision_error_text(self, capsys, value, detail):
+        assert run_cli("invert", *FIXTURE, "--precision", value) == 2
+        assert capsys.readouterr().err == f"ERROR Usage: argument --precision: {detail}\n"
 
 
 class TestProcessLevel:
@@ -489,6 +515,20 @@ class TestProcessLevel:
         proc = module_run(["invert", "--n", "10001", "--c", "2.0001", "--a", "1"])
         assert proc.returncode == 6
         assert proc.stderr.splitlines()[0].startswith("ERROR SizeGuard:")
+
+    def test_reader_closing_stdout_early(self):
+        # ``| head -c 20``: the rest of the payload is dropped quietly.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "circkr", "invert", "--n", "1000", "--c", "2.05", "--a", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
 
     def test_success_round_trip(self, tmp_path):
         rhs = tmp_path / "rhs.txt"
