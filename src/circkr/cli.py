@@ -5,10 +5,12 @@ failures exit nonzero with a machine-parsable first stderr line of the form
 ``ERROR <kind>: <detail>`` (InvalidSpec and usage problems exit 2, Overflow
 3, singular pivots 4, DimensionMismatch 5, SizeGuard 6).  Success output is
 the payload alone on stdout, or in the ``--out`` file when given; a
-failing command writes nothing there.  Payloads are written one chunk of
-rows at a time, never joined into one string, and a reader that closes
-stdout early (``| head``) ends the output quietly.  ``bench`` writes its
-table only once every order has run.  Setting the environment variable
+failing command writes nothing there.  Payloads are formatted and
+written one chunk of rows at a time, so no more than one chunk's text is
+held, and a reader that closes stdout early (``| head``) ends the output
+quietly.  ``bench`` factors every order first, times the solves
+round-robin across the orders, and writes its table only once every
+order has run.  Setting the environment variable
 ``CIRCKR_STRICT=0`` selects permissive validation of the system
 description.
 
@@ -22,6 +24,7 @@ comma-separated list of at least one integer.
 """
 
 import argparse
+import itertools
 import os
 import statistics
 import sys
@@ -32,7 +35,7 @@ import numpy as np
 
 from .decomposition import decompose, decompose_tridiagonal, reconstruct
 from .errors import CircKRError, UsageError
-from .factors import CIRCULANT, FACTOR_NAMES, materialize
+from .factors import CIRCULANT, FACTOR_NAMES, _guard_dense, materialize
 from .inverse import inverse_dense, inverse_first_row
 from .oracle import build_dense, dense_solve, spectral_inverse_first_row
 from .recurrence import SystemSpec
@@ -50,13 +53,15 @@ class _Parser(argparse.ArgumentParser):
 def _rows(matrix, precision, sep):
     """Text of a 2-D payload: one line per row, each value as %.{precision}g.
 
-    Formats about 4096 values at a time into one string of whole rows, so no
-    list of n^2 Python floats is ever held.  Adding 0.0 prints -0.0 as 0.
+    Yields about 4096 values at a time as one string of whole rows, so only
+    one chunk's text and Python floats are held at once.  Adding 0.0 prints
+    -0.0 as 0.
     """
     line = sep.join([f"%.{precision}g"] * matrix.shape[1])
     step = max(1, 4096 // matrix.shape[1])
-    blocks = (matrix[i : i + step] + 0.0 for i in range(0, len(matrix), step))
-    return ["\n".join([line] * len(b)) % tuple(b.ravel().tolist()) for b in blocks]
+    for i in range(0, len(matrix), step):
+        block = matrix[i : i + step] + 0.0
+        yield "\n".join([line] * len(block)) % tuple(block.ravel().tolist())
 
 
 def _exact(value):
@@ -105,8 +110,20 @@ def _read_rhs(path):
     return data[:, None] if data.ndim == 1 else data
 
 
+def _dense_factors(fct, precision):
+    # Each factor is built only when its first line is due, and dropped
+    # once its last chunk is written.
+    for name in FACTOR_NAMES:
+        if fct.variant != CIRCULANT and name.startswith("R"):
+            continue  # the tridiagonal variant has R = I
+        yield f"{name} ="
+        yield from _rows(materialize(fct, name), precision, ", ")
+
+
 def cmd_decompose(ns):
     spec, fct = _factorize(ns)
+    if ns.dense:
+        _guard_dense(spec.n)  # fail before the first report line is written
     lines = [
         f"order n = {spec.n}",
         f"c = {_exact(spec.c)}",
@@ -119,13 +136,8 @@ def cmd_decompose(ns):
         lines.append("r = " + ", ".join(_exact(v) for v in fct.r))
         lines.append(f"g = {_exact(fct.g)}")
         lines.append(f"scaled g (×a) = {_exact(spec.a * fct.g)}")
-    if ns.dense:
-        for name in FACTOR_NAMES:
-            if fct.variant != CIRCULANT and name.startswith("R"):
-                continue  # the tridiagonal variant has R = I
-            lines.append(f"{name} =")
-            lines.extend(_rows(materialize(fct, name), ns.precision, ", "))
-    _emit(ns, lines)
+    dense = _dense_factors(fct, ns.precision) if ns.dense else ()
+    _emit(ns, itertools.chain(lines, dense))
     return 0
 
 
@@ -200,20 +212,25 @@ def cmd_bench(ns):
         f"median of {ns.reps} repetitions",
         f"{'n':>8} {'factor_s':>12} {'solve_s':>12} {'ns_per_unknown':>16}",
     ]
-    medians = []
+    systems, factor_s = [], []
     for n in ns.sizes:
         t0 = time.perf_counter()
         _, fct = _factorize(argparse.Namespace(n=n, c=ns.d, a=1.0, variant=CIRCULANT))
-        factor_s = time.perf_counter() - t0
-        rhs = np.random.default_rng(0).standard_normal(n)
-        times = []
-        for _ in range(ns.reps):
+        factor_s.append(time.perf_counter() - t0)
+        systems.append((fct, np.random.default_rng(0).standard_normal(n)))
+    # Round-robin over the orders, so a slow stretch of the host slows
+    # every order's repetitions alike instead of a few orders' medians.
+    # An untimed solve first brings the order's arrays back into cache.
+    times = [[] for _ in systems]
+    for _ in range(ns.reps):
+        for (fct, rhs), samples in zip(systems, times):
+            solve(fct, rhs)
             t0 = time.perf_counter()
             solve(fct, rhs)
-            times.append(time.perf_counter() - t0)
-        median = max(statistics.median(times), 1e-9)
-        medians.append(median)
-        lines.append(f"{n:>8d} {factor_s:>12.6f} {median:>12.6f} {median / n * 1e9:>16.1f}")
+            samples.append(time.perf_counter() - t0)
+    medians = [max(statistics.median(samples), 1e-9) for samples in times]
+    for n, factor, median in zip(ns.sizes, factor_s, medians):
+        lines.append(f"{n:>8d} {factor:>12.6f} {median:>12.6f} {median / n * 1e9:>16.1f}")
     if len(ns.sizes) > 1:
         slope = float(np.polyfit(np.log(ns.sizes), np.log(medians), 1)[0])
         lines.append(f"log-log slope (solve time vs n) = {slope:.3f}")

@@ -7,9 +7,10 @@ tridiagonal suffix sums to sum_{k=m}^{n} 1/(f_k f_{k+1}) = f_{n+1-m} /
 (f_m f_{n+1}).  The inverse of a symmetric circulant matrix is again
 symmetric circulant, so the circulant variant's dense inverse is the
 cyclic expansion of that row.  The tridiagonal variant's inverse is the
-symmetric semiseparable matrix with entries -f_min(i,j) * G_max(i,j) / a:
-one outer product, its lower triangle rewritten row by row with the
-mirrored products.  Neither path runs a solve, a general matrix multiply
+symmetric semiseparable matrix with entries -f_min(i,j) * G_max(i,j) / a,
+filled in blocks of rows small enough to stay in cache: each block takes
+its products from outer products and is divided by a before the next
+block is written.  Neither path runs a solve, a general matrix multiply
 or any n x n scratch array beyond the result.
 """
 
@@ -31,6 +32,14 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
     entry (i, j) is -f_min(i,j) * G_max(i,j) / a.  The sum telescopes, so
     G_m = f_{n+1-m} / f_{n+1}, one division per entry.  GrowthOverflowError
     is raised before the fill if the largest entry leaves the 64-bit range.
+    The result is filled in blocks of at most 64 rows and 2**16 entries
+    (512 KiB), each written by einsum outer products and divided by a
+    while it is still in cache.  Multiplication commutes and einsum forms
+    one product per entry, so each entry is fl(fl(-f G) / a), byte for
+    byte that of one outer product, its lower triangle mirrored, then
+    divided by a.  einsum adds each product to a zeroed output, which would
+    turn -0.0 into +0.0, but the pivots f_1 .. f_{n+1} are nonzero, so no
+    product is zero.
 
     Capped at order 10**4.
     """
@@ -46,10 +55,22 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
     peak = np.max(np.abs(minus_f) * np.maximum.accumulate(np.abs(G)[::-1])[::-1])
     if not np.isfinite(float(peak) / abs(fct.spec.a)):
         raise GrowthOverflowError("the tridiagonal inverse leaves the 64-bit range")
-    out = np.multiply.outer(minus_f, G)
-    for i in range(1, n):
-        np.multiply(minus_f[:i], G[i], out[i, :i])
-    out /= fct.spec.a
+    out = np.empty((n, n))
+    # 2**16 entries (512 KiB) stay in L2 from the fill to the division; at
+    # most 64 rows keep the diagonal block's scratch within 32 KiB.
+    step = min(n, 64, 2**16 // n)
+    strictly_lower = np.tri(step, step, -1, dtype=bool)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        rows = out[i0:i1]
+        # Row i: -f_i G_j for j >= i0, then the mirrored -f_j G_i for j < i0 ...
+        np.einsum("i,j->ij", minus_f[i0:i1], G[i0:], out=rows[:, i0:])
+        np.einsum("i,j->ij", G[i0:i1], minus_f[:i0], out=rows[:, :i0])
+        # ... and for i0 <= j < i, inside the diagonal block.
+        b = i1 - i0
+        mirrored = np.einsum("i,j->ij", G[i0:i1], minus_f[i0:i1])
+        np.copyto(rows[:, i0:i1], mirrored, where=strictly_lower[:b, :b])
+        np.divide(rows, fct.spec.a, rows)
     return out
 
 

@@ -85,6 +85,14 @@ class TestDecomposeCommand:
         assert err.startswith("ERROR Overflow:")
         assert "max safe n = 1023" in err
 
+    def test_dense_size_guard_comes_before_the_report(self, capsys):
+        # The report is streamed, so the dense cap must trip before its
+        # first line is written.
+        assert run_cli("decompose", "--n", "10001", "--c", "2.0001", "--a", "1", "--dense") == 6
+        out = capsys.readouterr()
+        assert out.err.startswith("ERROR SizeGuard:")
+        assert out.out == ""
+
     def test_permissive_mode_reaches_singular_closure(self, capsys, monkeypatch):
         monkeypatch.setenv("CIRCKR_STRICT", "0")
         assert run_cli("decompose", "--n", "5", "--c", "-2", "--a", "1") == 4
@@ -269,14 +277,17 @@ class TestPayloadText:
 
     @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
     def test_out_file_holds_the_text_once(self, tmp_path, variant):
-        # The inverse plus its text, written chunk by chunk: never the text
-        # joined into one string beside the chunks.
+        # The inverse plus one chunk of its text at a time: that chunk, its
+        # Python floats and the writer's copies, never the whole text (the
+        # file is 100 chunks).
         n = 600
         target = tmp_path / "inverse.txt"
         argv = ("invert", "--n", str(n), "--c", "2.05", "--a", "1", "--variant", variant,
                 "--precision", "17", "--out", str(target))
         peak_bytes = 8 * peak_doubles(run_cli, *argv)
-        assert peak_bytes <= 8 * n * n + 1.5 * target.stat().st_size
+        rows = target.read_text().splitlines(keepends=True)
+        chunk = len("".join(rows[: 4096 // n]))
+        assert peak_bytes <= 8 * n * n + 8 * chunk
 
 
 class TestInvertCommand:
@@ -439,9 +450,9 @@ class TestParsing:
         assert "decompose" in capsys.readouterr().out
 
     def test_fmt_normalizes_negative_zero(self):
-        assert _rows(np.array([[-0.0]]), 6, " ") == ["0"]
-        assert _rows(np.array([[0.0]]), 6, " ") == ["0"]
-        assert _rows(np.array([[-1.5]]), 3, " ") == ["-1.5"]
+        assert list(_rows(np.array([[-0.0]]), 6, " ")) == ["0"]
+        assert list(_rows(np.array([[0.0]]), 6, " ")) == ["0"]
+        assert list(_rows(np.array([[-1.5]]), 3, " ")) == ["-1.5"]
 
     @pytest.mark.parametrize("command", ["solve", "invert"])
     def test_negative_precision_is_a_usage_error(self, capsys, tmp_path, command):

@@ -316,6 +316,31 @@ def test_tridiagonal_inverse_matches_exact_rational_inverse(n, d, a, strict):
     assert np.abs(inv - exact).max() <= bound * np.abs(exact).max()
 
 
+def _outer_then_rows(fct):
+    """The closed form in three passes: one outer product, the lower
+    triangle rewritten row by row, then the division by a."""
+    n = fct.spec.n
+    G = fct.f[n:0:-1] / fct.f[n + 1]
+    minus_f = -fct.f[1 : n + 1]
+    out = np.multiply.outer(minus_f, G)
+    for i in range(1, n):
+        np.multiply(minus_f[:i], G[i], out[i, :i])
+    out /= fct.spec.a
+    return out
+
+
+# Row blocks are min(n, 64, 2**16 // n) rows high: one block up to n = 64,
+# and a partial last block at 65, 255, 257, 1000 and 2000.
+@pytest.mark.parametrize("n", [3, 4, 5, 63, 64, 65, 255, 256, 257, 1000, 2000, 2048])
+@pytest.mark.parametrize(
+    "d, strict", [(2.0001, True), (-2.05, True), (1.3, False), (-0.7, False)]
+)
+def test_tridiagonal_inverse_is_byte_identical_to_outer_then_rows(n, d, strict):
+    for a in (1.3, -0.7, 1e-200, 3e300):
+        fct = decompose_tridiagonal(SystemSpec(n, d * a, a, strict))
+        assert inverse_dense(fct).tobytes() == _outer_then_rows(fct).tobytes()
+
+
 @pytest.mark.parametrize("n, c, a", [(8, 3e-310, 1e-310), (64, 2.5e-309, 1e-309)])
 @pytest.mark.parametrize("inverse", [inverse_first_row, inverse_dense])
 def test_circulant_inverse_beyond_the_range_raises(inverse, n, c, a):
