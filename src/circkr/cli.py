@@ -20,10 +20,14 @@ right-hand side.  One row writer prints every numeric payload at
 ``--precision`` (>= 0) significant digits: solutions space-separated, the
 inverse and the dense factors comma-separated.  The parser checks every
 numeric flag: ``--precision`` >= 0, ``--reps`` >= 1, and ``--sizes`` a
-comma-separated list of at least one integer.
+comma-separated list of at least one integer.  The parser is built once
+per process, on the first call of ``main``, and reused by every later
+call: each call parses into a fresh namespace and reads
+``CIRCKR_STRICT`` anew.
 """
 
 import argparse
+import functools
 import itertools
 import os
 import statistics
@@ -283,7 +287,10 @@ def _add_system_arguments(parser, payload=True):
         parser.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
+@functools.cache
 def _build_parser():
+    # Built on first use and kept for the process: parse_args reads the
+    # tree and writes only to the fresh Namespace it returns.
     parser = _Parser(
         prog="circkr",
         description="factor, solve, and invert symmetric circulant tridiagonal systems",

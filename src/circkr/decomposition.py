@@ -5,6 +5,8 @@ tridiagonal variant drops R entirely:  A = a * K^-1 * A1^T  with the
 bidiagonal core.  Factor storage is O(n); only reconstruction is dense.
 """
 
+import math
+
 import numpy as np
 
 from .errors import GrowthOverflowError
@@ -15,7 +17,7 @@ from .factors import (
     _r_pass,
     materialize,
 )
-from .recurrence import SystemSpec, _compute_g, _generate_r, generate_f
+from .recurrence import SystemSpec, _check_r, _compute_g, _generate_r, generate_f
 
 
 def _f_for_order(spec):
@@ -34,29 +36,26 @@ def _f_for_order(spec):
         ) from None
 
 
-def _frozen(*arrays):
-    # Arrays built here have no other owner; read-only, Factorization keeps
-    # them without a copy.
-    for x in arrays:
-        x.flags.writeable = False
-    return arrays
-
-
 def decompose(spec: SystemSpec) -> Factorization:
     """Factorize the circulant variant of ``spec`` in O(n) time and storage."""
+    n = spec.n
     f = _f_for_order(spec)
     # generate_f returns f_0 .. f_{n+1} with f_1 = 1 and no zero pivot,
-    # which is all that generate_r and compute_g check of their inputs.
-    r = _generate_r(f, spec.n)
-    g = _compute_g(f, r, spec.n)
-    f, r = _frozen(f, r)
-    return Factorization(spec=spec, f=f, r=r, g=g, variant=CIRCULANT)
+    # which is all that generate_r and compute_g check of their inputs.  A
+    # non-finite r_j makes the sum non-finite, so r is scanned only then,
+    # before any check of g.
+    r = _generate_r(f, n)
+    r_sum = float(np.add.reduce(r))
+    if not math.isfinite(r_sum):
+        _check_r(r, f[n])
+    g = _compute_g(f, r, n, r_sum)
+    return Factorization._from_checked(spec, f, r, g, CIRCULANT)
 
 
 def decompose_tridiagonal(spec: SystemSpec) -> Factorization:
     """Factorize the plain tridiagonal variant (no corners, R = I)."""
-    f, r = _frozen(_f_for_order(spec), np.empty(0))
-    return Factorization(spec=spec, f=f, r=r, g=None, variant=TRIDIAGONAL)
+    f = _f_for_order(spec)
+    return Factorization._from_checked(spec, f, np.empty(0), None, TRIDIAGONAL)
 
 
 def reconstruct(fct: Factorization) -> np.ndarray:

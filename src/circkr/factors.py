@@ -79,13 +79,13 @@ class Factorization:
     so no solve or inverse checks it again.  The arrays are stored
     read-only; nothing writes to a Factorization after construction, and it
     holds no cached state: each solve works out its own scaling.  A float64
-    array that is already read-only and owns its memory (as ``decompose``
-    hands over) is kept as is; anything else is copied, never frozen in
-    place.  When either array is copied, its values are checked too: a zero
-    among f_1 .. f_{n+1}, which the kernels divide by, raises
-    ZeroPivotError, and a non-finite f, r or g raises GrowthOverflowError.
-    ``decompose``'s own arrays hold both properties and are not scanned
-    again.
+    array that is already read-only and owns its memory is kept as is;
+    anything else is copied, never frozen in place.  When either array is
+    copied, its values are checked too: a zero among f_1 .. f_{n+1}, which
+    the kernels divide by, raises ZeroPivotError, and a non-finite f, r or
+    g raises GrowthOverflowError.  ``decompose`` and
+    ``decompose_tridiagonal`` build theirs through ``_from_checked``, which
+    runs none of these checks.
     """
 
     spec: SystemSpec
@@ -124,6 +124,18 @@ class Factorization:
             _check_values(f, r, self.g)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "r", r)
+
+    @classmethod
+    def _from_checked(cls, spec, f, r, g, variant):
+        # The fields as given, with no __post_init__: the caller built f and
+        # r as float64 arrays of the variant's shapes that nothing else
+        # holds, and checked every value, and g is a nonzero finite float
+        # (None for the tridiagonal variant).  The arrays are frozen here.
+        f.setflags(write=False)
+        r.setflags(write=False)
+        fct = object.__new__(cls)
+        fct.__dict__.update(spec=spec, f=f, r=r, g=g, variant=variant)
+        return fct
 
     @property
     def n(self):

@@ -222,20 +222,28 @@ def generate_r(f, n):
             f"f_{zeros[0] + 1} = 0; corner coefficients are undefined",
             index=int(zeros[0] + 1),
         )
-    return _generate_r(f, n)
+    r = _generate_r(f, n)
+    _check_r(r, f[n])
+    return r
 
 
 def _generate_r(f, n):
     # generate_r past its input checks: f is a float vector reaching f_n
-    # with no zero among f_1 .. f_n.
+    # with no zero among f_1 .. f_n.  Every generated f has f_1 = 1, and
+    # r * 1 is r itself.
     r = (f[n] / f[2 : n + 1]) / f[1:n]
-    r *= f[1]
-    if not np.isfinite(r).all():
-        bad = int(np.nonzero(~np.isfinite(r))[0][0]) + 1
-        raise GrowthOverflowError(
-            f"r_{bad} exceeds the 64-bit range (f_n = {f[n]})", failing_index=bad
-        )
+    if f[1] != 1.0:
+        r *= f[1]
     return r
+
+
+def _check_r(r, f_n):
+    bad = np.flatnonzero(~np.isfinite(r))
+    if bad.size:
+        raise GrowthOverflowError(
+            f"r_{bad[0] + 1} exceeds the 64-bit range (f_n = {f_n})",
+            failing_index=int(bad[0]) + 1,
+        )
 
 
 def compute_g(f, r, n):
@@ -264,16 +272,18 @@ def compute_g(f, r, n):
         raise DimensionMismatchError(
             f"need r_1..r_{{n-1}} (shape ({n - 1},)), got shape {r.shape}"
         )
-    return _compute_g(f, r, n)
+    return _compute_g(f, r, n, float(np.add.reduce(r)))
 
 
-def _compute_g(f, r, n):
-    # compute_g past its shape checks.  r * f_1 is r itself when f_1 = 1,
-    # as for every generated f, so both forms then share one sum.
-    r_sum = r.sum()
-    g_primary = float(1.0 - f[n + 1] + r_sum + r[n - 2] * f[n - 1])
-    r_f1_sum = r_sum if f[1] == 1.0 else (r * f[1]).sum()
-    g_alternate = float(1.0 + f[1] - f[n + 1] + r_f1_sum)
+def _compute_g(f, r, n, r_sum):
+    # compute_g past its shape checks, given sum r_j, on Python floats.
+    # r * f_1 is r itself when f_1 = 1, as for every generated f, so both
+    # forms then share one sum.
+    f_1 = float(f[1])
+    r_f1_sum = r_sum if f_1 == 1.0 else float(np.add.reduce(r * f_1))
+    f_prev, _, f_next = f[n - 1 : n + 2].tolist()
+    g_primary = 1.0 - f_next + r_sum + float(r[n - 2]) * f_prev
+    g_alternate = 1.0 + f_1 - f_next + r_f1_sum
     if not (math.isfinite(g_primary) and math.isfinite(g_alternate)):
         raise GrowthOverflowError(
             f"closure scalar left the 64-bit range (f_{{n+1}} = {f[n + 1]})"

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from circkr import (
     CIRCULANT,
     TRIDIAGONAL,
+    CircKRError,
     Factorization,
     GrowthOverflowError,
     SingularPivotError,
@@ -108,6 +109,41 @@ class TestDecompose:
             assert fct.f.tobytes() == staged.f.tobytes(), (n, d, a)
             assert fct.r.tobytes() == staged.r.tobytes(), (n, d, a)
             assert repr(fct.g) == repr(staged.g), (n, d, a)
+
+    @pytest.mark.parametrize(
+        "n, d, strict, kind",
+        [
+            (64, -2.000000000001, False, "Inconsistency"),
+            (5, -2.0, False, "SingularPivot"),
+            (2000, 2.5, True, "Overflow"),
+            (7, 0.0, False, "ZeroPivot"),
+        ],
+    )
+    def test_raises_what_its_public_stages_raise(self, n, d, strict, kind):
+        # decompose runs its own r and g path and skips Factorization's
+        # checks; it must still fail where the checked stages fail, with
+        # the same error.
+        spec = SystemSpec(n, d, 1.0, strict=strict)
+
+        def staged():
+            f = generate_f(spec, n + 1)
+            r = generate_r(f, n)
+            return Factorization(spec, f, r, compute_g(f, r, n))
+
+        with pytest.raises(CircKRError) as expected:
+            staged()
+        with pytest.raises(CircKRError) as got:
+            decompose(spec)
+        want, err = expected.value, got.value
+        assert want.kind == kind
+        assert type(err) is type(want)
+        if kind == "Overflow":
+            # decompose restates generate_f's overflow for the whole order.
+            assert err.failing_index == want.failing_index
+            assert err.max_safe_n == want.max_safe_m - 1
+            assert f"but f_{want.failing_index} exceeds the 64-bit range" in str(err)
+        else:
+            assert str(err) == str(want)
 
     def test_permissive_singular_ratio(self):
         with pytest.raises(SingularPivotError):
