@@ -5,8 +5,6 @@ tridiagonal variant drops R entirely:  A = a * K^-1 * A1^T  with the
 bidiagonal core.  Factor storage is O(n); only reconstruction is dense.
 """
 
-import math
-
 import numpy as np
 
 from .errors import GrowthOverflowError
@@ -17,7 +15,7 @@ from .factors import (
     _r_pass,
     materialize,
 )
-from .recurrence import SystemSpec, _check_r, _compute_g, _generate_r, generate_f
+from .recurrence import SystemSpec, _compute_g, _generate_r, generate_f
 
 
 def _f_for_order(spec):
@@ -40,15 +38,10 @@ def decompose(spec: SystemSpec) -> Factorization:
     """Factorize the circulant variant of ``spec`` in O(n) time and storage."""
     n = spec.n
     f = _f_for_order(spec)
-    # generate_f returns f_0 .. f_{n+1} with f_1 = 1 and no zero pivot,
-    # which is all that generate_r and compute_g check of their inputs.  A
-    # non-finite r_j makes the sum non-finite, so r is scanned only then,
-    # before any check of g.
+    # generate_f returns f_0 .. f_{n+1} with no zero pivot, which is all
+    # that generate_r and compute_g check of their inputs.
     r = _generate_r(f, n)
-    r_sum = float(np.add.reduce(r))
-    if not math.isfinite(r_sum):
-        _check_r(r, f[n])
-    g = _compute_g(f, r, n, r_sum)
+    g = _compute_g(f, r, n)
     return Factorization._from_checked(spec, f, r, g, CIRCULANT)
 
 

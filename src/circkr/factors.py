@@ -80,12 +80,11 @@ class Factorization:
     read-only; nothing writes to a Factorization after construction, and it
     holds no cached state: each solve works out its own scaling.  A float64
     array that is already read-only and owns its memory is kept as is;
-    anything else is copied, never frozen in place.  When either array is
-    copied, its values are checked too: a zero among f_1 .. f_{n+1}, which
-    the kernels divide by, raises ZeroPivotError, and a non-finite f, r or
-    g raises GrowthOverflowError.  ``decompose`` and
-    ``decompose_tridiagonal`` build theirs through ``_from_checked``, which
-    runs none of these checks.
+    anything else is copied, never frozen in place.  The values are checked
+    too: a zero among f_1 .. f_{n+1}, which the kernels divide by, raises
+    ZeroPivotError, and a non-finite f, r or g raises GrowthOverflowError.
+    ``decompose`` and ``decompose_tridiagonal`` build theirs through
+    ``_from_checked``, which runs none of these checks.
     """
 
     spec: SystemSpec
@@ -120,8 +119,7 @@ class Factorization:
                 raise ValueError("tridiagonal factorization carries no r coefficients")
             if self.g is not None:
                 raise ValueError("tridiagonal factorization carries no closure scalar")
-        if f is not self.f or r is not self.r:
-            _check_values(f, r, self.g)
+        _check_values(f, r, self.g)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "r", r)
 
@@ -156,7 +154,7 @@ def _read_only(x):
 
 
 def _check_values(f, r, g):
-    # Only for copied arrays: the kernels divide by f_1 .. f_{n+1}.
+    # The kernels divide by f_1 .. f_{n+1}.
     for name, x, first in (("f", f, 0), ("r", r, 1)):
         bad = np.flatnonzero(~np.isfinite(x))
         if bad.size:

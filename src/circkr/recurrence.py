@@ -222,28 +222,20 @@ def generate_r(f, n):
             f"f_{zeros[0] + 1} = 0; corner coefficients are undefined",
             index=int(zeros[0] + 1),
         )
-    r = _generate_r(f, n)
-    _check_r(r, f[n])
-    return r
+    return _generate_r(f, n)
 
 
 def _generate_r(f, n):
     # generate_r past its input checks: f is a float vector reaching f_n
-    # with no zero among f_1 .. f_n.  Every generated f has f_1 = 1, and
-    # r * 1 is r itself.
+    # with no zero among f_1 .. f_n.
     r = (f[n] / f[2 : n + 1]) / f[1:n]
-    if f[1] != 1.0:
-        r *= f[1]
-    return r
-
-
-def _check_r(r, f_n):
-    bad = np.flatnonzero(~np.isfinite(r))
-    if bad.size:
+    r *= f[1]
+    if not np.isfinite(r).all():
+        bad = int(np.nonzero(~np.isfinite(r))[0][0]) + 1
         raise GrowthOverflowError(
-            f"r_{bad[0] + 1} exceeds the 64-bit range (f_n = {f_n})",
-            failing_index=int(bad[0]) + 1,
+            f"r_{bad} exceeds the 64-bit range (f_n = {f[n]})", failing_index=bad
         )
+    return r
 
 
 def compute_g(f, r, n):
@@ -272,13 +264,14 @@ def compute_g(f, r, n):
         raise DimensionMismatchError(
             f"need r_1..r_{{n-1}} (shape ({n - 1},)), got shape {r.shape}"
         )
-    return _compute_g(f, r, n, float(np.add.reduce(r)))
+    return _compute_g(f, r, n)
 
 
-def _compute_g(f, r, n, r_sum):
-    # compute_g past its shape checks, given sum r_j, on Python floats.
-    # r * f_1 is r itself when f_1 = 1, as for every generated f, so both
-    # forms then share one sum.
+def _compute_g(f, r, n):
+    # compute_g past its shape checks, on Python floats.  r * f_1 is r
+    # itself when f_1 = 1, as for every generated f, so both forms then
+    # share one sum.
+    r_sum = float(np.add.reduce(r))
     f_1 = float(f[1])
     r_f1_sum = r_sum if f_1 == 1.0 else float(np.add.reduce(r * f_1))
     f_prev, _, f_next = f[n - 1 : n + 2].tolist()

@@ -112,6 +112,15 @@ class TestFactorizationContainer:
             Factorization(built.spec, f, built.r, built.g, variant)
         assert info.value.index == i
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_kept_read_only_array_is_checked_too(self, variant):
+        built = _five(variant)
+        f = built.f.copy()
+        f[3] = 0.0
+        f.flags.writeable = False
+        with pytest.raises(ZeroPivotError, match="f_3 = 0"):
+            Factorization(built.spec, f, built.r, built.g, variant)
+
     @pytest.mark.parametrize("variant, field, i, value", [
         *[(v, "f", i, x) for v in VARIANTS for i, x in ((2, np.nan), (0, np.inf), (6, -np.inf))],
         (CIRCULANT, "r", 1, np.nan), (CIRCULANT, "g", None, np.nan),
