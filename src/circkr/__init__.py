@@ -36,12 +36,7 @@ from .factors import (
     materialize,
 )
 from .inverse import inverse_dense, inverse_first_row
-from .oracle import (
-    build_dense,
-    dense_solve,
-    spectral_inverse_entry,
-    spectral_inverse_first_row,
-)
+from .oracle import build_dense, dense_solve, spectral_inverse_first_row
 from .recurrence import SystemSpec, compute_g, generate_f, generate_r, growth_ratio
 from .solver import count_operations, solve, solve_many
 
@@ -84,6 +79,5 @@ __all__ = [
     "reconstruct",
     "solve",
     "solve_many",
-    "spectral_inverse_entry",
     "spectral_inverse_first_row",
 ]

@@ -31,9 +31,10 @@ at reconstruction or solve time):
            and subdiagonal (f_1 .. f_{n-1}).
 
 Applying K, K^-1, R or R^-1 to a vector costs O(n); K and R are one
-in-place pass each, shared by the solver and reconstruct.  The closure row
-of A1^-1 is the closed form m_i = (f_i + f_{n-i}) / (f_n g) and runs no
-pass.  Materialization (for verification) is capped at 10**4.
+in-place pass each, shared by the solver and reconstruct.  An action whose
+result is not finite raises GrowthOverflowError instead of returning it.
+The closure row of A1^-1 is the closed form m_i = (f_i + f_{n-i}) / (f_n g)
+and runs no pass.  Materialization (for verification) is capped at 10**4.
 """
 
 import contextlib
@@ -78,9 +79,9 @@ class Factorization:
     A circulant g = 0 (a singular matrix) raises SingularPivotError here,
     so no solve or inverse checks it again.  The arrays are stored
     read-only; nothing writes to a Factorization after construction, and it
-    holds no cached state: each solve works out its own scaling.  A float64
-    array that is already read-only and owns its memory is kept as is;
-    anything else is copied, never frozen in place.  The values are checked
+    holds no cached state: each solve works out its own scaling.  The
+    constructor always copies f and r and freezes the copies; the caller's
+    arrays are never frozen in place or shared.  The values are checked
     too: a zero among f_1 .. f_{n+1}, which the kernels divide by, raises
     ZeroPivotError, and a non-finite f, r or g raises GrowthOverflowError.
     ``decompose`` and ``decompose_tridiagonal`` build theirs through
@@ -141,13 +142,6 @@ class Factorization:
 
 
 def _read_only(x):
-    if (
-        isinstance(x, np.ndarray)
-        and x.dtype == np.float64
-        and x.base is None
-        and not x.flags.writeable
-    ):
-        return x
     x = np.array(x, dtype=float)
     x.flags.writeable = False
     return x
@@ -245,9 +239,23 @@ def _r_pass(fct, out, sign=1.0):
     return out
 
 
+def _require_finite(out, message):
+    # out as it is, or GrowthOverflowError(message) if an entry is not
+    # finite.  Where out may hold one, run this under np.errstate, so that
+    # numpy does not warn ahead of the error.  A sum is non-finite whenever
+    # an entry is; only then look entry by entry.
+    total = np.add.reduce(out, None)
+    if not math.isfinite(total) and not np.isfinite(out).all():
+        raise GrowthOverflowError(message)
+    return out
+
+
 def apply_k(fct, x):
     """y = K x, y_i = sum_{j<=i} f_j x_j: one prefix accumulation, O(n)."""
-    return _k_pass(fct, _check_vector(fct, x).copy())
+    x = _check_vector(fct, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _k_pass(fct, x.copy())
+        return _require_finite(y, "K x left the 64-bit range, or x is not finite")
 
 
 def apply_k_inverse(fct, y):
@@ -258,21 +266,28 @@ def apply_k_inverse(fct, y):
     y = _check_vector(fct, y, name="y")
     n = fct.spec.n
     x = np.empty(n)
-    x[0] = y[0] / fct.f[1]
-    x[1:] = (y[1:] - y[:-1]) / fct.f[2 : n + 1]
-    return x
+    with np.errstate(over="ignore", invalid="ignore"):
+        x[0] = y[0] / fct.f[1]
+        x[1:] = (y[1:] - y[:-1]) / fct.f[2 : n + 1]
+        return _require_finite(x, "K^-1 y left the 64-bit range, or y is not finite")
 
 
 def apply_r(fct, x):
     """y = R x: identity except y_n = sum_j r_j x_j + x_n.  Circulant only."""
-    _require_circulant(fct, "the corner factor R")
-    return _r_pass(fct, _check_vector(fct, x).copy())
+    return _apply_r(fct, x, 1.0, "R x")
 
 
 def apply_r_inverse(fct, x):
     """y = R^-1 x: the same rank-one update with the r block negated."""
+    return _apply_r(fct, x, -1.0, "R^-1 x")
+
+
+def _apply_r(fct, x, sign, result):
     _require_circulant(fct, "the corner factor R")
-    return _r_pass(fct, _check_vector(fct, x).copy(), -1.0)
+    x = _check_vector(fct, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _r_pass(fct, x.copy(), sign)
+        return _require_finite(out, f"{result} left the 64-bit range, or x is not finite")
 
 
 def a1_inverse_last_row(fct):

@@ -81,7 +81,18 @@ def dense_solve(matrix, rhs):
     return x[:, 0] if single else x
 
 
-def _eigenvalues(spec):
+def spectral_inverse_first_row(spec):
+    """The circulant inverse's first row, from its eigenvalues by one inverse FFT.
+
+    (A^-1)_{1,1+k} = (1/n) * sum_j cos(2 pi j k / n) / (c + 2 a cos(2 pi j / n)),
+    meaningful for the circulant variant only.  An eigenvalue no larger in
+    magnitude than 1e-14 (|c| + 2|a|) raises SingularEigenvalueError.
+    """
+    if spec.n > DENSE_ORDER_LIMIT:
+        raise SizeGuardError(
+            f"spectral row evaluation is capped at order {DENSE_ORDER_LIMIT}, "
+            f"got n = {spec.n}"
+        )
     angles = 2.0 * np.pi * np.arange(spec.n) / spec.n
     lam = spec.c + 2.0 * spec.a * np.cos(angles)
     floor = 1e-14 * (abs(spec.c) + 2.0 * abs(spec.a))
@@ -91,28 +102,4 @@ def _eigenvalues(spec):
         raise SingularEigenvalueError(
             f"circulant eigenvalue {j} is numerically zero ({lam[j]})"
         )
-    return angles, lam
-
-
-def spectral_inverse_entry(spec, k):
-    """Entry (1, 1+k) of the circulant inverse by the eigenvalue sum.
-
-    (A^-1)_{1,1+k} = (1/n) * sum_j cos(2 pi j k / n) / (c + 2 a cos(2 pi j / n)),
-    meaningful for the circulant variant only.
-    """
-    n = spec.n
-    if not 0 <= k < n:
-        raise ValueError(f"offset k must lie in [0, {n - 1}], got {k}")
-    angles, lam = _eigenvalues(spec)
-    return float(np.mean(np.cos(angles * k) / lam))
-
-
-def spectral_inverse_first_row(spec):
-    """The circulant inverse's first row: the same sum, as one inverse FFT."""
-    if spec.n > DENSE_ORDER_LIMIT:
-        raise SizeGuardError(
-            f"spectral row evaluation is capped at order {DENSE_ORDER_LIMIT}, "
-            f"got n = {spec.n}"
-        )
-    _, lam = _eigenvalues(spec)
     return np.fft.ifft(1.0 / lam).real

@@ -153,7 +153,15 @@ def generate_f(source, m):
     if m < 1:
         raise InvalidSpecError(f"sequence length m must be at least 1, got {m}")
     values = _f_values(d)
-    out = None if m <= _CHECK_EVERY + 1 else np.empty(m + 1)
+    out = None
+    if m > _CHECK_EVERY + 1:
+        size = m + 1
+        if abs(d) > 2.0:
+            # |f_i| >= rho**(i - 1), so f overflows by i = 2 + 1024 / log2(rho)
+            # and the loop stops at the end of that chunk; the 1025 and the
+            # second chunk are margin for rounding.
+            size = min(size, int(1025 / math.log2(growth_ratio(d))) + 2 * _CHECK_EVERY)
+        out = np.empty(size)
     start, stop = 0, 2  # f_0 and f_1 ride with the first chunk of steps
     while start <= m:
         stop = min(stop + _CHECK_EVERY, m + 1)

@@ -41,6 +41,7 @@ from .factors import (
     _check_vector,
     _k_pass,
     _r_pass,
+    _require_finite,
     _tally,
     count_operations,
 )
@@ -99,11 +100,7 @@ def _solve(fct, rhs, e, top, out=None):
 
 def _unscale(out, exponent):
     np.ldexp(out, exponent, out)
-    # A sum is non-finite whenever an entry is; only then look entry by entry.
-    total = np.add.reduce(out, None)
-    if not math.isfinite(total) and not np.isfinite(out).all():
-        raise GrowthOverflowError("back substitution left the 64-bit range")
-    return out
+    return _require_finite(out, "back substitution left the 64-bit range")
 
 
 def solve(fct: Factorization, b) -> np.ndarray:

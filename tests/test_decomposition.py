@@ -87,15 +87,21 @@ class TestDecompose:
     def test_overflow_stops_early_for_a_huge_order(self):
         # d = 2.5 overflows at f_1025.  A generator that ran all 10**7 steps
         # before checking would take about 1 s; the CLI and _max_safe_n in
-        # test_solver rely on the early stop.
-        elapsed = []
-        for _ in range(3):
-            start = time.perf_counter()
+        # test_solver rely on the early stop.  Nor may it allocate the m + 1
+        # doubles it will never reach: 80 MB at 10**7, 8 TB at 10**12.
+        def overflow(n):
             with pytest.raises(GrowthOverflowError) as excinfo:
-                decompose(SystemSpec(10**7, 2.5, 1.0))
-            elapsed.append(time.perf_counter() - start)
+                decompose(SystemSpec(n, 2.5, 1.0))
             assert excinfo.value.max_safe_n == 1023
-        assert min(elapsed) < 0.05
+
+        for n in (10**7, 10**12):
+            elapsed = []
+            for _ in range(3):
+                start = time.perf_counter()
+                overflow(n)
+                elapsed.append(time.perf_counter() - start)
+            assert min(elapsed) < 0.05
+            assert peak_doubles(overflow, n) * 8 < 1e6
 
     def test_equals_its_public_stages_bit_for_bit(self):
         # decompose skips the input checks of generate_r and compute_g; it

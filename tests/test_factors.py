@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -65,11 +66,15 @@ class TestFactorizationContainer:
         assert fct.n == 5
         assert_array_equal(fct.f, f)
 
-    def test_read_only_arrays_are_kept_and_others_copied(self):
+    def test_every_input_is_copied(self):
         spec = SystemSpec(5, 5.0, 2.0)
         built = decompose(spec)
-        # decompose hands over arrays nobody else holds, already read-only.
-        assert Factorization(spec, built.f, built.r, built.g).f is built.f
+        # Read-only arrays that own their memory, as decompose hands over.
+        copied = Factorization(spec, built.f, built.r, built.g)
+        assert copied.f is not built.f and copied.r is not built.r
+        assert copied.f.tobytes() == built.f.tobytes()
+        assert copied.r.tobytes() == built.r.tobytes()
+        assert not (copied.f.flags.writeable or copied.r.flags.writeable)
         f, r = built.f.copy(), built.r.copy()
         fct = Factorization(spec, f, r, built.g)
         assert f.flags.writeable and r.flags.writeable
@@ -190,6 +195,27 @@ class TestFastActions:
             materialize(trid5, "R")
         with pytest.raises(VariantMismatchError):
             a1_inverse_last_row(trid5)
+
+    @pytest.mark.parametrize("action", [apply_k, apply_k_inverse, apply_r, apply_r_inverse])
+    def test_non_finite_result_is_refused(self, action):
+        # K x and R x reach 1e300 f_154 and 1e300 r_1 = 1e300 f_154 / f_2 at
+        # d = 100; K^-1 y divides +-2e300 by f_7, about 1e-13, at
+        # d = -2 cos(pi/7 + 1e-13).
+        if action is apply_k_inverse:
+            spec = SystemSpec(23, -2.0 * np.cos(np.pi / 7 + 1e-13), 1.0, strict=False)
+            x = 1e300 * (-1.0) ** np.arange(23)
+        else:
+            spec = SystemSpec(154, 100.0, 1.0)
+            x = np.full(154, 1e300)
+        fct = decompose(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GrowthOverflowError, match="left the 64-bit range"):
+                action(fct, x)
+            x[:] = 1.0
+            x[3] = np.nan
+            with pytest.raises(GrowthOverflowError, match="is not finite"):
+                action(fct, x)
 
     def test_vector_length_checked(self, fct5):
         for action in (apply_k, apply_k_inverse, apply_r, apply_r_inverse):

@@ -12,7 +12,6 @@ from circkr import (
     SystemSpec,
     build_dense,
     dense_solve,
-    spectral_inverse_entry,
     spectral_inverse_first_row,
 )
 
@@ -213,43 +212,25 @@ class TestSpectral:
             row, [31 / 99, -14 / 99, 4 / 99, 4 / 99, -14 / 99], rtol=0, atol=1e-14
         )
 
-    def test_entry_matches_row(self):
-        spec = SystemSpec(9, -7.0, 2.5)
-        row = spectral_inverse_first_row(spec)
-        for k in range(9):
-            assert spectral_inverse_entry(spec, k) == pytest.approx(
-                row[k], rel=0, abs=1e-15
-            )
-
-    @pytest.mark.parametrize("n", [9, 10, 255, 256])
-    @pytest.mark.parametrize("c, a", [(-7.0, 2.5), (2.0001, 1.0), (5.0, -2.0)])
-    def test_direct_sum_matches_fft_row(self, n, c, a):
-        # Two evaluations of one formula: a direct sum per entry, one FFT per row.
+    @pytest.mark.parametrize("n, c, a, rtol", [
+        (16, 6.0, -2.0, 1e-13),
+        *[(n, c, a, 1e-12) for n in (9, 10, 255, 256)
+          for c, a in ((-7.0, 2.5), (2.0001, 1.0), (5.0, -2.0))],
+    ])
+    def test_matches_dense_inverse(self, n, c, a, rtol):
+        # The FFT row against an independent reference, the dense inverse.
+        # Near c = 2|a| the matrix is ill-conditioned, and the two differ
+        # by up to 3.1e-13 at n = 255.
         spec = SystemSpec(n, c, a)
-        row = spectral_inverse_first_row(spec)
-        direct = np.array([spectral_inverse_entry(spec, k) for k in range(n)])
-        assert np.abs(direct - row).max() <= 1e-12 * np.abs(row).max()
-
-    def test_matches_dense_inverse(self):
-        spec = SystemSpec(16, 6.0, -2.0)
         reference = np.linalg.inv(build_dense(spec))[0]
         row = spectral_inverse_first_row(spec)
-        assert np.abs(row - reference).max() <= 1e-13 * np.abs(reference).max()
-
-    def test_entry_offset_validation(self):
-        spec = SystemSpec(5, 5.0, 2.0)
-        with pytest.raises(ValueError):
-            spectral_inverse_entry(spec, -1)
-        with pytest.raises(ValueError):
-            spectral_inverse_entry(spec, 5)
+        assert np.abs(row - reference).max() <= rtol * np.abs(reference).max()
 
     def test_singular_eigenvalue_detected(self):
         # c = -2a makes the j = 0 eigenvalue exactly zero.
         spec = SystemSpec(6, -2.0, 1.0, strict=False)
         with pytest.raises(SingularEigenvalueError):
             spectral_inverse_first_row(spec)
-        with pytest.raises(SingularEigenvalueError):
-            spectral_inverse_entry(spec, 0)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
