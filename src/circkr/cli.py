@@ -3,7 +3,8 @@
 Five subcommands: decompose, solve, invert, check, bench.  All structured
 failures exit nonzero with a machine-parsable first stderr line of the form
 ``ERROR <kind>: <detail>`` (InvalidSpec and usage problems exit 2, Overflow
-3, singular pivots 4, DimensionMismatch 5, SizeGuard 6).  Success output is
+3, singular pivots 4, DimensionMismatch 5, SizeGuard 6, which also
+covers an order whose arrays do not fit in memory).  Success output is
 the payload alone on stdout, or in the ``--out`` file when given; a
 failing command writes nothing there.  Payloads are formatted and
 written one chunk of rows at a time, so no more than one chunk's text is
@@ -38,7 +39,7 @@ import warnings
 import numpy as np
 
 from .decomposition import decompose, decompose_tridiagonal, reconstruct
-from .errors import CircKRError, UsageError
+from .errors import CircKRError, SizeGuardError, UsageError
 from .factors import CIRCULANT, FACTOR_NAMES, _guard_dense, materialize
 from .inverse import inverse_dense, inverse_first_row
 from .oracle import build_dense, dense_solve, spectral_inverse_first_row
@@ -331,7 +332,12 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        return ns.func(ns)
+        try:
+            return ns.func(ns)
+        except MemoryError as err:
+            # An order too large to hold is SizeGuard's case, whichever array fails.
+            order = f"order n = {ns.n}" if hasattr(ns, "n") else f"one of the orders {ns.sizes}"
+            raise SizeGuardError(f"{order} does not fit in memory: {err}") from None
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else 0
     except CircKRError as err:

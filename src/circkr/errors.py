@@ -95,7 +95,8 @@ class DimensionMismatchError(CircKRError):
 
 
 class SizeGuardError(CircKRError):
-    """A dense materialization was requested beyond the supported order."""
+    """A dense materialization was requested beyond the supported order, or
+    (from the CLI) the order's arrays do not fit in memory."""
 
     kind = "SizeGuard"
     exit_code = 6

@@ -12,13 +12,81 @@ filled in blocks of rows small enough to stay in cache: each block takes
 its products from outer products and is divided by a before the next
 block is written.  Neither path runs a solve, a general matrix multiply
 or any n x n scratch array beyond the result.
+
+Every row band of either dense inverse can be written on its own, so a
+fill of at least 2**21 entries (n >= 1449) is split into contiguous row
+bands, one per usable CPU: the caller writes the first band and one
+thread per extra CPU writes each of the others, while numpy's einsum,
+divide and copyto release the GIL.  Each entry is formed by the same
+operations in either case, so the result is byte-identical to a serial
+fill.  Smaller fills stay on the calling thread, where a helper gains
+least and least reliably: after its CPU has idled between calls, a
+helper saved 0-16% of an n = 1024 fill, against 22-40% at n = 2048.
 """
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GrowthOverflowError, VariantMismatchError
 from .factors import CIRCULANT, Factorization, _guard_dense
+
+# Fills of fewer entries run on the calling thread alone (module docstring).
+_THREADED_ENTRIES = 2**21
+
+
+def _fill_in_bands(fill, n, step):
+    """Run ``fill(lo, hi)`` over rows 0 .. n-1, in contiguous bands of whole
+    blocks of ``step`` rows, one band per usable CPU.
+
+    Below ``_THREADED_ENTRIES`` entries, or with one usable CPU, the caller
+    runs ``fill(0, n)`` itself.  Otherwise the caller fills the first band
+    and one thread per extra CPU (at most one per block) fills each of the
+    others, each thread in a copy of the caller's context (so its
+    ``count_operations`` scope holds) and under its ``np.errstate``.  Every
+    thread is joined before this returns or raises; an exception from the
+    caller's band, else from the lowest failing band, is then raised here.
+    """
+    blocks = -(-n // step)
+    workers = 1
+    if n * n >= _THREADED_ENTRIES:
+        # sched_getaffinity honours taskset and cgroup CPU sets; it is Linux-only.
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
+        workers = min(usable, blocks)
+    if workers == 1:
+        fill(0, n)
+        return
+    bounds = [min(n, step * (blocks * k // workers)) for k in range(workers + 1)]
+    errors = [None] * workers
+    # Before numpy 2 the error state is per thread, not in the context.
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def band(k):
+        try:
+            with np.errstate(**errstate):
+                fill(bounds[k], bounds[k + 1])
+        except BaseException as err:  # raised by the caller after the joins
+            errors[k] = err
+
+    started = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(band, k))
+            thread.start()
+            started.append(thread)
+        fill(bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 def inverse_dense(fct: Factorization) -> np.ndarray:
@@ -41,6 +109,14 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
     turn -0.0 into +0.0, but the pivots f_1 .. f_{n+1} are nonzero, so no
     product is zero.
 
+    From n = 1449 (2**21 entries) on, contiguous row bands are filled at
+    once, one per usable CPU (``os.sched_getaffinity``), the caller filling
+    the first; tridiagonal bands start on block boundaries.  Each entry is
+    computed by the same operations as in a serial fill, so the output is
+    byte-identical whatever the CPU count.  The caller's ``np.errstate``
+    applies to every band; an error in any band is raised here once all
+    bands have finished, and no thread outlives the call.
+
     Capped at order 10**4.
     """
     n = fct.spec.n
@@ -48,7 +124,10 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
     if fct.variant == CIRCULANT:
         v = inverse_first_row(fct)
         # Window s of (v_1 .. v_{n-1}, v_0 .. v_{n-1}) is v rolled right by n-1-s.
-        return sliding_window_view(np.concatenate((v[1:], v)), n)[::-1].copy()
+        window = sliding_window_view(np.concatenate((v[1:], v)), n)[::-1]
+        out = np.empty((n, n))
+        _fill_in_bands(lambda lo, hi: np.copyto(out[lo:hi], window[lo:hi]), n, 1)
+        return out
     G = fct.f[n:0:-1] / fct.f[n + 1]
     minus_f = -fct.f[1 : n + 1]
     # Largest entry: |f_i| max_{j>=i} |G_j| / |a|; a float division gives inf silently.
@@ -60,17 +139,21 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
     # most 64 rows keep the diagonal block's scratch within 32 KiB.
     step = min(n, 64, 2**16 // n)
     strictly_lower = np.tri(step, step, -1, dtype=bool)
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        rows = out[i0:i1]
-        # Row i: -f_i G_j for j >= i0, then the mirrored -f_j G_i for j < i0 ...
-        np.einsum("i,j->ij", minus_f[i0:i1], G[i0:], out=rows[:, i0:])
-        np.einsum("i,j->ij", G[i0:i1], minus_f[:i0], out=rows[:, :i0])
-        # ... and for i0 <= j < i, inside the diagonal block.
-        b = i1 - i0
-        mirrored = np.einsum("i,j->ij", G[i0:i1], minus_f[i0:i1])
-        np.copyto(rows[:, i0:i1], mirrored, where=strictly_lower[:b, :b])
-        np.divide(rows, fct.spec.a, rows)
+
+    def fill(lo, hi):
+        for i0 in range(lo, hi, step):
+            i1 = min(i0 + step, n)
+            rows = out[i0:i1]
+            # Row i: -f_i G_j for j >= i0, then the mirrored -f_j G_i for j < i0 ...
+            np.einsum("i,j->ij", minus_f[i0:i1], G[i0:], out=rows[:, i0:])
+            np.einsum("i,j->ij", G[i0:i1], minus_f[:i0], out=rows[:, :i0])
+            # ... and for i0 <= j < i, inside the diagonal block.
+            b = i1 - i0
+            mirrored = np.einsum("i,j->ij", G[i0:i1], minus_f[i0:i1])
+            np.copyto(rows[:, i0:i1], mirrored, where=strictly_lower[:b, :b])
+            np.divide(rows, fct.spec.a, rows)
+
+    _fill_in_bands(fill, n, step)
     return out
 
 

@@ -555,6 +555,28 @@ class TestProcessLevel:
         assert proc.returncode == 6
         assert proc.stderr.splitlines()[0].startswith("ERROR SizeGuard:")
 
+    def test_order_too_large_to_hold_exit_status(self):
+        # A permissive ratio keeps all of f, 7.28 TiB at this order; the
+        # child caps its own address space at 3 GB so no host can grant it.
+        limit = 3 * 10**9
+        child = (
+            "import resource; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from circkr.cli import entry; entry()"
+        )
+        env = dict(os.environ, CIRCKR_STRICT="0")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "decompose", "--n", "1000000000000", "--c", "1.5",
+             "--a", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 6
+        assert proc.stderr.startswith(
+            "ERROR SizeGuard: order n = 1000000000000 does not fit in memory: "
+        )
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+
     def test_reader_closing_stdout_early(self):
         # ``| head -c 20``: the rest of the payload is dropped quietly.
         proc = subprocess.Popen(

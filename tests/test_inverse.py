@@ -1,8 +1,10 @@
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from circkr import (
@@ -21,6 +23,8 @@ from circkr import (
     inverse_first_row,
     spectral_inverse_first_row,
 )
+
+from circkr import inverse as inverse_module
 
 from grids import grid_cases, peak_doubles, relative_max_error
 
@@ -275,10 +279,11 @@ class TestInverseDense:
 
 @pytest.mark.parametrize("decomposer", [decompose, decompose_tridiagonal])
 def test_inverse_dense_peak_memory(decomposer):
-    # The result itself is n^2 doubles; no n x n scratch array may join it.
-    n = 512
-    fct = decomposer(SystemSpec(n, 2.05, 1.0))
-    assert peak_doubles(inverse_dense, fct) <= 1.2 * n * n
+    # The result itself is n^2 doubles; no n x n scratch array may join it,
+    # whether the rows are filled by one thread or several (n = 2048).
+    for n in (512, 2048):
+        fct = decomposer(SystemSpec(n, 2.05, 1.0))
+        assert peak_doubles(inverse_dense, fct) <= 1.2 * n * n, n
 
 
 @pytest.mark.parametrize(
@@ -294,7 +299,11 @@ def test_tridiagonal_inverse_at_the_edge_of_the_range(n, d, a):
     assert np.abs(inv @ dense - np.eye(n)).max() <= 1e-10
 
 
-@pytest.mark.parametrize("n, c, a", [(8, 3e-310, 1e-310), (64, 2.5e-309, 1e-309)])
+# n = 2048 is filled in threaded row bands; the error comes before any starts.
+BEYOND_THE_RANGE = [(8, 3e-310, 1e-310), (64, 2.5e-309, 1e-309), (2048, 2.05e-309, 1e-309)]
+
+
+@pytest.mark.parametrize("n, c, a", BEYOND_THE_RANGE)
 def test_tridiagonal_inverse_beyond_the_range_raises(n, c, a):
     # Entries f_i G_j / a overflow for a subnormal a; the error comes first,
     # with no numpy warning ahead of it.
@@ -341,7 +350,7 @@ def test_tridiagonal_inverse_is_byte_identical_to_outer_then_rows(n, d, strict):
         assert inverse_dense(fct).tobytes() == _outer_then_rows(fct).tobytes()
 
 
-@pytest.mark.parametrize("n, c, a", [(8, 3e-310, 1e-310), (64, 2.5e-309, 1e-309)])
+@pytest.mark.parametrize("n, c, a", BEYOND_THE_RANGE)
 @pytest.mark.parametrize("inverse", [inverse_first_row, inverse_dense])
 def test_circulant_inverse_beyond_the_range_raises(inverse, n, c, a):
     # Entries of order 1 / a overflow for a subnormal a; the error comes
@@ -355,16 +364,61 @@ def test_circulant_inverse_beyond_the_range_raises(inverse, n, c, a):
 
 @pytest.mark.parametrize("decomposer", [decompose, decompose_tridiagonal])
 def test_inverses_run_no_solver_pass(decomposer):
-    fct = decomposer(SystemSpec(16, 2.5, 1.0))
-    with count_operations() as counter:
-        inverse_dense(fct)
-        if fct.variant != TRIDIAGONAL:
-            inverse_first_row(fct)
-    assert counter.total == 0
+    # n = 2048 is filled in threaded row bands, inside the same scope.
+    for n, d in ((16, 2.5), (2048, 2.05)):
+        fct = decomposer(SystemSpec(n, d, 1.0))
+        with count_operations() as counter:
+            inverse_dense(fct)
+            if fct.variant != TRIDIAGONAL:
+                inverse_first_row(fct)
+        assert counter.total == 0, n
 
 
 def test_circulant_inverse_rows_are_exact_rolls():
-    inv = inverse_dense(decompose(SystemSpec(37, -5.5, 2.0)))
-    assert np.array_equal(inv, inv.T)
-    for i in range(37):
-        assert np.array_equal(inv[i], np.roll(inv[0], i))
+    # From n = 1449 on the rows are copied in threaded bands; the bytes are
+    # those of one copy of the windows onto the first row.
+    for n, d in ((37, -2.75), (1449, 2.01), (2048, -2.05)):
+        fct = decompose(SystemSpec(n, 2.0 * d, 2.0))
+        inv = inverse_dense(fct)
+        v = inverse_first_row(fct)
+        one_copy = sliding_window_view(np.concatenate((v[1:], v)), n)[::-1].copy()
+        assert inv.tobytes() == one_copy.tobytes(), n
+        assert np.array_equal(inv, inv.T)
+        for i in range(n):
+            assert np.array_equal(inv[i], np.roll(inv[0], i))
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("decomposer", [decompose, decompose_tridiagonal])
+def test_underflow_raises_in_the_caller_under_errstate(decomposer, n, capfd):
+    # Entries of order 1 / a underflow for a = 3e300.  Under
+    # errstate(under="raise") the error reaches the caller whether or not
+    # helper threads filled some rows; none is printed, none outlives the call.
+    fct = decomposer(SystemSpec(n, 2.01 * 3e300, 3e300))
+    threads = threading.active_count()
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        inverse_dense(fct)
+    assert threading.active_count() == threads
+    assert capfd.readouterr().err == ""
+
+
+def test_band_errors_reach_the_caller_after_every_band(monkeypatch, capfd):
+    # Four usable CPUs whatever the host has: every band runs, each under
+    # the caller's errstate, and a helper band's error is raised here.
+    monkeypatch.setattr(
+        inverse_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+    )
+    n, step = 2048, 32
+    seen, threads = [], threading.active_count()
+
+    def fill(lo, hi):
+        seen.append((lo, hi, np.geterr()["under"]))
+        if lo > 0:
+            raise ValueError(f"band {lo}")
+
+    with np.errstate(under="raise"), pytest.raises(ValueError, match="band 512"):
+        inverse_module._fill_in_bands(fill, n, step)
+    assert sorted(seen) == [(0, 512, "raise"), (512, 1024, "raise"),
+                            (1024, 1536, "raise"), (1536, 2048, "raise")]
+    assert threading.active_count() == threads
+    assert capfd.readouterr().err == ""
