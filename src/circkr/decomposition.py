@@ -39,9 +39,15 @@ def decompose(spec: SystemSpec) -> Factorization:
     n = spec.n
     f = _f_for_order(spec)
     # generate_f returns f_0 .. f_{n+1} with no zero pivot, which is all
-    # that generate_r and compute_g check of their inputs.
-    r = _generate_r(f, n)
-    g = _compute_g(f, r, n)
+    # that generate_r and compute_g check of their inputs.  A strict f has
+    # |f_i| >= 1 and overflows neither; a permissive pivot can be tiny.
+    if spec.strict:
+        r = _generate_r(f, n)
+        g = _compute_g(f, r, n)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _generate_r(f, n)
+            g = _compute_g(f, r, n)
     return Factorization._from_checked(spec, f, r, g, CIRCULANT)
 
 

@@ -15,18 +15,17 @@ or any n x n scratch array beyond the result.
 
 Every row band of either dense inverse can be written on its own, so a
 fill of at least 2**21 entries (n >= 1449) is split into contiguous row
-bands, one per usable CPU: the caller writes the first band and one
-thread per extra CPU writes each of the others, while numpy's einsum,
-divide and copyto release the GIL.  Each entry is formed by the same
-operations in either case, so the result is byte-identical to a serial
-fill.  Smaller fills stay on the calling thread, where a helper gains
-least and least reliably: after its CPU has idled between calls, a
+bands, one per usable CPU: the caller writes the first band and a
+per-call thread pool, one thread per extra CPU, writes the others, while
+numpy's einsum, divide and copyto release the GIL.  Each entry is formed
+by the same operations in either case, so the result is byte-identical to
+a serial fill.  Smaller fills stay on the calling thread, where a helper
+gains least and least reliably: after its CPU has idled between calls, a
 helper saved 0-16% of an n = 1024 fill, against 22-40% at n = 2048.
 """
 
-import contextvars
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,9 +43,10 @@ def _fill_in_bands(fill, n, step):
 
     Below ``_THREADED_ENTRIES`` entries, or with one usable CPU, the caller
     runs ``fill(0, n)`` itself.  Otherwise the caller fills the first band
-    and one thread per extra CPU (at most one per block) fills each of the
-    others, each thread in a copy of the caller's context (so its
-    ``count_operations`` scope holds) and under its ``np.errstate``.  Every
+    and a per-call ``ThreadPoolExecutor`` with one thread per extra CPU (at
+    most one per block) fills the others, each under the caller's
+    ``np.errstate``.  The threads do not run in the caller's context, so
+    ``fill`` must not tally into ``count_operations``; no dense fill does.  Every
     thread is joined before this returns or raises; an exception from the
     caller's band, else from the lowest failing band, is then raised here.
     """
@@ -63,30 +63,18 @@ def _fill_in_bands(fill, n, step):
         fill(0, n)
         return
     bounds = [min(n, step * (blocks * k // workers)) for k in range(workers + 1)]
-    errors = [None] * workers
     # Before numpy 2 the error state is per thread, not in the context.
     errstate = dict(np.geterr(), call=np.geterrcall())
 
     def band(k):
-        try:
-            with np.errstate(**errstate):
-                fill(bounds[k], bounds[k + 1])
-        except BaseException as err:  # raised by the caller after the joins
-            errors[k] = err
+        with np.errstate(**errstate):
+            fill(bounds[k], bounds[k + 1])
 
-    started = []
-    try:
-        for k in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(band, k))
-            thread.start()
-            started.append(thread)
+    # Leaving the with block joins every helper, also when band 0 raised.
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = pool.map(band, range(1, workers))
         fill(bounds[0], bounds[1])
-    finally:
-        for thread in started:
-            thread.join()
-    for err in errors:
-        if err is not None:
-            raise err
+    list(helpers)  # raises the lowest failing helper band's exception
 
 
 def inverse_dense(fct: Factorization) -> np.ndarray:
@@ -128,12 +116,12 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
         out = np.empty((n, n))
         _fill_in_bands(lambda lo, hi: np.copyto(out[lo:hi], window[lo:hi]), n, 1)
         return out
-    G = fct.f[n:0:-1] / fct.f[n + 1]
-    minus_f = -fct.f[1 : n + 1]
-    # Largest entry: |f_i| max_{j>=i} |G_j| / |a|; a float division gives inf silently.
-    peak = np.max(np.abs(minus_f) * np.maximum.accumulate(np.abs(G)[::-1])[::-1])
-    if not np.isfinite(float(peak) / abs(fct.spec.a)):
-        raise GrowthOverflowError("the tridiagonal inverse leaves the 64-bit range")
+    if fct.spec.strict:
+        G, minus_f = _semiseparable_factors(fct)
+    else:
+        # A permissive f_{n+1} can be tiny, and G overflow; the check raises.
+        with np.errstate(over="ignore", invalid="ignore"):
+            G, minus_f = _semiseparable_factors(fct)
     out = np.empty((n, n))
     # 2**16 entries (512 KiB) stay in L2 from the fill to the division; at
     # most 64 rows keep the diagonal block's scratch within 32 KiB.
@@ -155,6 +143,20 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
 
     _fill_in_bands(fill, n, step)
     return out
+
+
+def _semiseparable_factors(fct):
+    # G_m = f_{n+1-m} / f_{n+1} and -f_m for m = 1 .. n, or GrowthOverflowError
+    # if the largest entry, |f_i| max_{j>=i} |G_j| / |a|, leaves the 64-bit
+    # range.  A strict f has |f_i| >= 1 for i >= 1, so G cannot overflow.
+    n = fct.spec.n
+    G = fct.f[n:0:-1] / fct.f[n + 1]
+    minus_f = -fct.f[1 : n + 1]
+    peak = np.max(np.abs(minus_f) * np.maximum.accumulate(np.abs(G)[::-1])[::-1])
+    # A float division gives inf silently.
+    if not np.isfinite(float(peak) / abs(fct.spec.a)):
+        raise GrowthOverflowError("the tridiagonal inverse leaves the 64-bit range")
+    return G, minus_f
 
 
 def inverse_first_row(fct: Factorization) -> np.ndarray:

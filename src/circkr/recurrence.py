@@ -230,12 +230,15 @@ def generate_r(f, n):
             f"f_{zeros[0] + 1} = 0; corner coefficients are undefined",
             index=int(zeros[0] + 1),
         )
-    return _generate_r(f, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _generate_r(f, n)
 
 
 def _generate_r(f, n):
     # generate_r past its input checks: f is a float vector reaching f_n
-    # with no zero among f_1 .. f_n.
+    # with no zero among f_1 .. f_n.  A pivot below 1 in magnitude, which
+    # only |d| <= 2 gives, can overflow the divisions; run this under
+    # np.errstate then, so that the check below raises with no warning.
     r = (f[n] / f[2 : n + 1]) / f[1:n]
     r *= f[1]
     if not np.isfinite(r).all():
@@ -272,13 +275,16 @@ def compute_g(f, r, n):
         raise DimensionMismatchError(
             f"need r_1..r_{{n-1}} (shape ({n - 1},)), got shape {r.shape}"
         )
-    return _compute_g(f, r, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _compute_g(f, r, n)
 
 
 def _compute_g(f, r, n):
     # compute_g past its shape checks, on Python floats.  r * f_1 is r
     # itself when f_1 = 1, as for every generated f, so both forms then
-    # share one sum.
+    # share one sum.  The sums of r from a strict f stay below |f_n|, but
+    # others can overflow; run this under np.errstate then, so that the
+    # check below raises with no warning.
     r_sum = float(np.add.reduce(r))
     f_1 = float(f[1])
     r_f1_sum = r_sum if f_1 == 1.0 else float(np.add.reduce(r * f_1))

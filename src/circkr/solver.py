@@ -64,12 +64,24 @@ def _solve(fct, rhs, e, top, out=None):
     b / 2**(e + s), and one exact rescale at the end restores 2**e, 2**s
     and the exponent of a.
     """
+    s = (math.frexp(fct.f[fct.spec.n + 1])[1] - 1) // 2
+    mantissa, exponent = math.frexp(fct.spec.a)
+    # A strict pivot has |f_i| >= 1, so there only an upward rescale can
+    # leave the range; a permissive pivot can be tiny, and dividing by it
+    # overflow mid-solve.  numpy would warn before the final check raises.
+    # A per-call errstate costs 1-2 us.
+    if fct.spec.strict and top <= s + exponent:
+        return _passes(fct, rhs, e, s, mantissa, exponent, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _passes(fct, rhs, e, s, mantissa, exponent, out)
+
+
+def _passes(fct, rhs, e, s, mantissa, exponent, out):
+    # _solve's passes, from the rescale of b to the finiteness check.
     n = fct.spec.n
     f = fct.f
     circulant = fct.variant == CIRCULANT
     m = n - 1 if circulant else n  # unknowns whose rows carry an x_n term
-    s = (math.frexp(f[n + 1])[1] - 1) // 2
-    mantissa, exponent = math.frexp(fct.spec.a)
     out = np.ldexp(rhs, -s - e, out)
     _k_pass(fct, out)
     corner = out.T  # entry j: a scalar, or the k right-hand sides' entries
@@ -89,17 +101,7 @@ def _solve(fct, rhs, e, top, out=None):
     np.add.accumulate(backward, -1, None, backward)
     np.multiply(out, f[1 : n + 1], out)
     _tally(out)
-    # Only an upward rescale can leave the range; numpy would warn about it
-    # before the check below raises.  A per-call errstate costs 1-2 us.
-    unshift = -(s + exponent)
-    if top + unshift > 0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _unscale(out, e + unshift)
-    return _unscale(out, e + unshift)
-
-
-def _unscale(out, exponent):
-    np.ldexp(out, exponent, out)
+    np.ldexp(out, e - s - exponent, out)
     return _require_finite(out, "back substitution left the 64-bit range")
 
 

@@ -405,6 +405,31 @@ class TestNoFloatWarnings:
         assert got == code
         assert out.err == ""
 
+    @pytest.mark.parametrize(
+        "command, n, c, variant",
+        [
+            ("check", 5, 1e-300, "tridiagonal"),
+            ("solve", 5, 1e-300, "tridiagonal"),
+            ("solve", 6, 1e-310, "circulant"),
+            ("invert", 5, 1e-310, "tridiagonal"),
+            ("decompose", 5, 1e-310, "circulant"),
+        ],
+    )
+    def test_tiny_permissive_pivot_overflows(self, capsys, monkeypatch, tmp_path,
+                                             command, n, c, variant):
+        # d = c: f_2 = -c, and a division by that pivot leaves the range in
+        # the solve, the tridiagonal G or the corner coefficients r.
+        monkeypatch.setenv("CIRCKR_STRICT", "0")
+        argv = [command, "--n", str(n), "--c", repr(c), "--a", "1", "--variant", variant]
+        if command == "solve":
+            rhs = tmp_path / "rhs.txt"
+            rhs.write_text("1\n" + "0\n" * (n - 1))
+            argv += ["--rhs", str(rhs)]
+        got, out = self._run(capsys, *argv)
+        assert got == 3
+        assert out.err.splitlines()[0].startswith("ERROR Overflow:")
+        assert out.out == ""
+
 
 class TestBenchCommand:
     def test_small_run_reports_slope(self, capsys):

@@ -165,6 +165,12 @@ class TestDecompose:
         fct = decompose_tridiagonal(SystemSpec(5, -2.0, 1.0, strict=False))
         assert_array_equal(fct.f, np.arange(7, dtype=float))
 
+    def test_permissive_tiny_pivot_overflows_without_warning(self):
+        # d = 1e-310 gives f_2 = -1e-310, so r_1 = f_5 / (f_2 f_1) leaves
+        # the range; pytest turns a numpy warning ahead of it into a failure.
+        with pytest.raises(GrowthOverflowError, match="r_1 exceeds the 64-bit range"):
+            decompose(SystemSpec(5, 1e-310, 1.0, strict=False))
+
 
 def row_by_row_reconstruct(fct):
     """reconstruct with its K^-1 sweep one row at a time, bottom-up: the

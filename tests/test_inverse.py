@@ -303,6 +303,16 @@ def test_tridiagonal_inverse_at_the_edge_of_the_range(n, d, a):
 BEYOND_THE_RANGE = [(8, 3e-310, 1e-310), (64, 2.5e-309, 1e-309), (2048, 2.05e-309, 1e-309)]
 
 
+def test_tridiagonal_inverse_of_a_tiny_permissive_pivot_raises():
+    # f_6 = -3e-310, so G_m = f_{6-m} / f_6 leaves the range; the error
+    # comes with no numpy warning ahead of it.
+    fct = decompose_tridiagonal(SystemSpec(5, 1e-310, 1.0, strict=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GrowthOverflowError):
+            inverse_dense(fct)
+
+
 @pytest.mark.parametrize("n, c, a", BEYOND_THE_RANGE)
 def test_tridiagonal_inverse_beyond_the_range_raises(n, c, a):
     # Entries f_i G_j / a overflow for a subnormal a; the error comes first,
@@ -422,3 +432,24 @@ def test_band_errors_reach_the_caller_after_every_band(monkeypatch, capfd):
                             (1024, 1536, "raise"), (1536, 2048, "raise")]
     assert threading.active_count() == threads
     assert capfd.readouterr().err == ""
+
+
+def test_callers_band_error_comes_before_a_helpers(monkeypatch):
+    # Four usable CPUs whatever the host has.  Band 0, which the caller
+    # fills, and a helper band both raise: the caller's error is the one
+    # raised, and only once every band has run and every thread is joined.
+    monkeypatch.setattr(
+        inverse_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+    )
+    n, step = 2048, 32
+    seen, threads = [], threading.active_count()
+
+    def fill(lo, hi):
+        seen.append(lo)
+        if lo in (0, 1024):
+            raise ValueError(f"band {lo}")
+
+    with pytest.raises(ValueError, match="band 0"):
+        inverse_module._fill_in_bands(fill, n, step)
+    assert sorted(seen) == [0, 512, 1024, 1536]
+    assert threading.active_count() == threads

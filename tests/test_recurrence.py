@@ -284,6 +284,21 @@ class TestGenerateR:
         assert np.isfinite(r).all()
         assert abs(r[-1] * f[1018] - 1.0) <= 1e-12
 
+    def test_zero_pivot_is_structured(self):
+        # A hand-built f: generate_f itself never returns a zero pivot.
+        f = np.array([0.0, 1.0, -2.5, 0.0, 4.0, 1.0])
+        with pytest.raises(ZeroPivotError, match="f_3 = 0") as err:
+            generate_r(f, 5)
+        assert err.value.index == 3
+
+    def test_tiny_permissive_pivot_overflows_without_warning(self):
+        # f_2 = -1e-310, so r_1 = f_5 / (f_2 f_1) leaves the range; pytest
+        # turns a numpy warning ahead of the error into a failure.
+        f = generate_f(1e-310, 6)
+        with pytest.raises(GrowthOverflowError, match="r_1 exceeds") as err:
+            generate_r(f, 5)
+        assert err.value.failing_index == 1
+
 
 class TestComputeG:
     def test_reference_value_exact(self):
@@ -338,6 +353,13 @@ class TestComputeG:
         f = 2.0 * REFERENCE_F
         with pytest.raises(InconsistencyError):
             compute_g(f, generate_r(f, 5), 5)
+
+    @pytest.mark.parametrize("r", [(1e308, 1e308, 1.0, 1.0), (1e308, 1e308, -1e308, -1e308)])
+    def test_non_finite_sum_is_structured(self, r):
+        # A hand-built r whose sum leaves the range (or, summed in order,
+        # meets inf - inf), with no numpy warning first.
+        with pytest.raises(GrowthOverflowError, match="closure scalar left the 64-bit range"):
+            compute_g(REFERENCE_F, np.array(r), 5)
 
     def test_requires_matching_shapes(self):
         r = generate_r(REFERENCE_F, 5)

@@ -337,6 +337,25 @@ def test_solution_beyond_the_64_bit_range_raises(circulant, many):
             solve(fct, b)
 
 
+@pytest.mark.parametrize(
+    "circulant, spec",
+    [(True, SystemSpec(6, 1e-310, 1.0, strict=False)),
+     (False, SystemSpec(5, 1e-300, 1.0, strict=False))],
+    ids=VARIANT_IDS,
+)
+@pytest.mark.parametrize("many", [False, True], ids=["solve", "solve_many"])
+def test_tiny_permissive_pivot_raises_without_warning(circulant, spec, many):
+    # f_2 = -c, so dividing by that pivot overflows in the middle of the
+    # passes; the solve raises with no numpy warning ahead of the error.
+    fct = _factorize(spec, circulant)
+    b = np.ones((spec.n, 3))
+    with pytest.raises(GrowthOverflowError, match="back substitution left the 64-bit"):
+        if many:
+            solve_many(fct, b)
+        else:
+            solve(fct, b[:, 0])
+
+
 @pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
 @pytest.mark.parametrize(
     "spec",
