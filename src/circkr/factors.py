@@ -84,6 +84,8 @@ class Factorization:
     arrays are never frozen in place or shared.  The values are checked
     too: a zero among f_1 .. f_{n+1}, which the kernels divide by, raises
     ZeroPivotError, and a non-finite f, r or g raises GrowthOverflowError.
+    ``_unit_pivots`` records whether |f_1| .. |f_{n+1}| are all at least 1;
+    only then may a solve run its divisions with no ``np.errstate``.
     ``decompose`` and ``decompose_tridiagonal`` build theirs through
     ``_from_checked``, which runs none of these checks.
     """
@@ -123,6 +125,7 @@ class Factorization:
         _check_values(f, r, self.g)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "_unit_pivots", bool(np.abs(f[1:]).min() >= 1.0))
 
     @classmethod
     def _from_checked(cls, spec, f, r, g, variant):
@@ -130,10 +133,13 @@ class Factorization:
         # r as float64 arrays of the variant's shapes that nothing else
         # holds, and checked every value, and g is a nonzero finite float
         # (None for the tridiagonal variant).  The arrays are frozen here.
+        # An f generated from a strict spec has |f_1| .. |f_{n+1}| >= 1.
         f.setflags(write=False)
         r.setflags(write=False)
         fct = object.__new__(cls)
-        fct.__dict__.update(spec=spec, f=f, r=r, g=g, variant=variant)
+        fct.__dict__.update(
+            spec=spec, f=f, r=r, g=g, variant=variant, _unit_pivots=spec.strict
+        )
         return fct
 
     @property

@@ -116,12 +116,15 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
         out = np.empty((n, n))
         _fill_in_bands(lambda lo, hi: np.copyto(out[lo:hi], window[lo:hi]), n, 1)
         return out
-    if fct.spec.strict:
-        G, minus_f = _semiseparable_factors(fct)
-    else:
-        # A permissive f_{n+1} can be tiny, and G overflow; the check raises.
-        with np.errstate(over="ignore", invalid="ignore"):
-            G, minus_f = _semiseparable_factors(fct)
+    # A permissive f_{n+1} can be tiny and G overflow; the check raises
+    # GrowthOverflowError then, with no numpy warning ahead of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = fct.f[n:0:-1] / fct.f[n + 1]
+        minus_f = -fct.f[1 : n + 1]
+        # Largest entry: |f_i| max_{j>=i} |G_j| / |a|.
+        peak = np.max(np.abs(minus_f) * np.maximum.accumulate(np.abs(G)[::-1])[::-1])
+        if not np.isfinite(peak / abs(fct.spec.a)):
+            raise GrowthOverflowError("the tridiagonal inverse leaves the 64-bit range")
     out = np.empty((n, n))
     # 2**16 entries (512 KiB) stay in L2 from the fill to the division; at
     # most 64 rows keep the diagonal block's scratch within 32 KiB.
@@ -143,20 +146,6 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
 
     _fill_in_bands(fill, n, step)
     return out
-
-
-def _semiseparable_factors(fct):
-    # G_m = f_{n+1-m} / f_{n+1} and -f_m for m = 1 .. n, or GrowthOverflowError
-    # if the largest entry, |f_i| max_{j>=i} |G_j| / |a|, leaves the 64-bit
-    # range.  A strict f has |f_i| >= 1 for i >= 1, so G cannot overflow.
-    n = fct.spec.n
-    G = fct.f[n:0:-1] / fct.f[n + 1]
-    minus_f = -fct.f[1 : n + 1]
-    peak = np.max(np.abs(minus_f) * np.maximum.accumulate(np.abs(G)[::-1])[::-1])
-    # A float division gives inf silently.
-    if not np.isfinite(float(peak) / abs(fct.spec.a)):
-        raise GrowthOverflowError("the tridiagonal inverse leaves the 64-bit range")
-    return G, minus_f
 
 
 def inverse_first_row(fct: Factorization) -> np.ndarray:

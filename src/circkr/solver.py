@@ -66,11 +66,11 @@ def _solve(fct, rhs, e, top, out=None):
     """
     s = (math.frexp(fct.f[fct.spec.n + 1])[1] - 1) // 2
     mantissa, exponent = math.frexp(fct.spec.a)
-    # A strict pivot has |f_i| >= 1, so there only an upward rescale can
-    # leave the range; a permissive pivot can be tiny, and dividing by it
-    # overflow mid-solve.  numpy would warn before the final check raises.
-    # A per-call errstate costs 1-2 us.
-    if fct.spec.strict and top <= s + exponent:
+    # With every |f_i| >= 1 only an upward rescale can leave the range; a
+    # smaller pivot can overflow a division mid-solve.  numpy would warn
+    # before the final check raises.  A per-call errstate costs 1-2 us, and
+    # choosing a contextlib.nullcontext instead 0.2-0.4 us.
+    if fct._unit_pivots and top <= s + exponent:
         return _passes(fct, rhs, e, s, mantissa, exponent, out)
     with np.errstate(over="ignore", invalid="ignore"):
         return _passes(fct, rhs, e, s, mantissa, exponent, out)
@@ -101,7 +101,7 @@ def _passes(fct, rhs, e, s, mantissa, exponent, out):
     np.add.accumulate(backward, -1, None, backward)
     np.multiply(out, f[1 : n + 1], out)
     _tally(out)
-    np.ldexp(out, e - s - exponent, out)
+    np.ldexp(out, e - (s + exponent), out)  # e may be a (k, 1) array
     return _require_finite(out, "back substitution left the 64-bit range")
 
 

@@ -303,10 +303,14 @@ def test_tridiagonal_inverse_at_the_edge_of_the_range(n, d, a):
 BEYOND_THE_RANGE = [(8, 3e-310, 1e-310), (64, 2.5e-309, 1e-309), (2048, 2.05e-309, 1e-309)]
 
 
-def test_tridiagonal_inverse_of_a_tiny_permissive_pivot_raises():
+@pytest.mark.parametrize("hand_built", [False, True], ids=["decomposed", "hand-built"])
+def test_tridiagonal_inverse_of_a_tiny_permissive_pivot_raises(hand_built):
     # f_6 = -3e-310, so G_m = f_{6-m} / f_6 leaves the range; the error
-    # comes with no numpy warning ahead of it.
+    # comes with no numpy warning ahead of it, also for the same pivots
+    # under a strict spec through the public constructor.
     fct = decompose_tridiagonal(SystemSpec(5, 1e-310, 1.0, strict=False))
+    if hand_built:
+        fct = Factorization(SystemSpec(5, 2.5, 1.0), fct.f, fct.r, None, TRIDIAGONAL)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GrowthOverflowError):

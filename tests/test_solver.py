@@ -337,18 +337,18 @@ def test_solution_beyond_the_64_bit_range_raises(circulant, many):
             solve(fct, b)
 
 
-@pytest.mark.parametrize(
-    "circulant, spec",
-    [(True, SystemSpec(6, 1e-310, 1.0, strict=False)),
-     (False, SystemSpec(5, 1e-300, 1.0, strict=False))],
-    ids=VARIANT_IDS,
-)
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
 @pytest.mark.parametrize("many", [False, True], ids=["solve", "solve_many"])
-def test_tiny_permissive_pivot_raises_without_warning(circulant, spec, many):
+@pytest.mark.parametrize("hand_built", [False, True], ids=["decomposed", "hand-built"])
+def test_tiny_permissive_pivot_raises_without_warning(circulant, many, hand_built):
     # f_2 = -c, so dividing by that pivot overflows in the middle of the
-    # passes; the solve raises with no numpy warning ahead of the error.
-    fct = _factorize(spec, circulant)
-    b = np.ones((spec.n, 3))
+    # passes, while |f_7| = 1 leaves the final rescale in range; the solve
+    # raises with no numpy warning ahead of the error.  The public
+    # constructor takes such an f under a strict spec too.
+    fct = _factorize(SystemSpec(6, 1e-310, 1.0, strict=False), circulant)
+    if hand_built:
+        fct = Factorization(SystemSpec(6, 2.5, 1.0), fct.f, fct.r, fct.g, fct.variant)
+    b = np.ones((6, 3))
     with pytest.raises(GrowthOverflowError, match="back substitution left the 64-bit"):
         if many:
             solve_many(fct, b)
