@@ -31,6 +31,7 @@ import argparse
 import functools
 import itertools
 import os
+import re
 import statistics
 import sys
 import time
@@ -51,6 +52,14 @@ CHECK_TOLERANCE = 1e-8
 
 class _Parser(argparse.ArgumentParser):
     # Route argparse's own failures through the structured error channel.
+    # A token such as -5e0, -2E0 or -inf is a value, not a flag: argparse's
+    # own pattern takes only the -1 and -1.5 forms.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message):
         raise UsageError(message)
 

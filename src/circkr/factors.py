@@ -30,9 +30,10 @@ at reconstruction or solve time):
            variant: pure lower bidiagonal with diagonal (-f_2 .. -f_{n+1})
            and subdiagonal (f_1 .. f_{n-1}).
 
-Applying K, K^-1, R or R^-1 to a vector costs O(n); K and R are one
-in-place pass each, shared by the solver and reconstruct.  An action whose
-result is not finite raises GrowthOverflowError instead of returning it.
+Applying K, K^-1, R or R^-1 to a vector costs O(n): each action runs one
+in-place pass over a copy of the vector, and the K and R passes are shared
+by the solver and reconstruct.  An action whose result is not finite
+raises GrowthOverflowError instead of returning it.
 The closure row of A1^-1 is the closed form m_i = (f_i + f_{n-i}) / (f_n g)
 and runs no pass.  Materialization (for verification) is capped at 10**4.
 """
@@ -78,14 +79,15 @@ class Factorization:
 
     A circulant g = 0 (a singular matrix) raises SingularPivotError here,
     so no solve or inverse checks it again.  The arrays are stored
-    read-only; nothing writes to a Factorization after construction, and it
-    holds no cached state: each solve works out its own scaling.  The
+    read-only; nothing writes to a Factorization after construction.  The
     constructor always copies f and r and freezes the copies; the caller's
     arrays are never frozen in place or shared.  The values are checked
     too: a zero among f_1 .. f_{n+1}, which the kernels divide by, raises
     ZeroPivotError, and a non-finite f, r or g raises GrowthOverflowError.
-    ``_unit_pivots`` records whether |f_1| .. |f_{n+1}| are all at least 1;
-    only then may a solve run its divisions with no ``np.errstate``.
+    One derived flag is held besides the fields, set at construction:
+    ``_unit_pivots`` records whether |f_1| .. |f_{n+1}| are all at least 1,
+    and only then may a solve run its divisions with no ``np.errstate``.
+    Nothing else is cached; each solve works out its own scaling.
     ``decompose`` and ``decompose_tridiagonal`` build theirs through
     ``_from_checked``, which runs none of these checks.
     """
@@ -256,12 +258,27 @@ def _require_finite(out, message):
     return out
 
 
+def _guarded(fct, x, name, action_pass, message, *args):
+    # One factor action: check x, copy it, run the in-place pass on the copy
+    # quietly, and return it, or raise GrowthOverflowError(message) if an
+    # entry is not finite.
+    x = _check_vector(fct, x, name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _require_finite(action_pass(fct, x.copy(), *args), message)
+
+
+def _k_inverse_pass(fct, out):
+    # x = K^-1 y in place: first differences, then division by f_1 .. f_n.
+    # A temporary difference costs less than the copy numpy makes when a
+    # ufunc's output overlaps its input: 1.8 against 3.3 us at n = 16.
+    out[1:] = out[1:] - out[:-1]
+    np.divide(out, fct.f[1 : fct.spec.n + 1], out)
+    return out
+
+
 def apply_k(fct, x):
     """y = K x, y_i = sum_{j<=i} f_j x_j: one prefix accumulation, O(n)."""
-    x = _check_vector(fct, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _k_pass(fct, x.copy())
-        return _require_finite(y, "K x left the 64-bit range, or x is not finite")
+    return _guarded(fct, x, "x", _k_pass, "K x left the 64-bit range, or x is not finite")
 
 
 def apply_k_inverse(fct, y):
@@ -269,31 +286,21 @@ def apply_k_inverse(fct, y):
 
     x_1 = y_1 / f_1 and x_i = (y_i - y_{i-1}) / f_i.
     """
-    y = _check_vector(fct, y, name="y")
-    n = fct.spec.n
-    x = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x[0] = y[0] / fct.f[1]
-        x[1:] = (y[1:] - y[:-1]) / fct.f[2 : n + 1]
-        return _require_finite(x, "K^-1 y left the 64-bit range, or y is not finite")
+    message = "K^-1 y left the 64-bit range, or y is not finite"
+    return _guarded(fct, y, "y", _k_inverse_pass, message)
 
 
 def apply_r(fct, x):
     """y = R x: identity except y_n = sum_j r_j x_j + x_n.  Circulant only."""
-    return _apply_r(fct, x, 1.0, "R x")
+    _require_circulant(fct, "the corner factor R")
+    return _guarded(fct, x, "x", _r_pass, "R x left the 64-bit range, or x is not finite")
 
 
 def apply_r_inverse(fct, x):
     """y = R^-1 x: the same rank-one update with the r block negated."""
-    return _apply_r(fct, x, -1.0, "R^-1 x")
-
-
-def _apply_r(fct, x, sign, result):
     _require_circulant(fct, "the corner factor R")
-    x = _check_vector(fct, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _r_pass(fct, x.copy(), sign)
-        return _require_finite(out, f"{result} left the 64-bit range, or x is not finite")
+    message = "R^-1 x left the 64-bit range, or x is not finite"
+    return _guarded(fct, x, "x", _r_pass, message, -1.0)
 
 
 def a1_inverse_last_row(fct):

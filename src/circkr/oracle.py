@@ -22,14 +22,16 @@ from .errors import (
 DENSE_ORDER_LIMIT = 10_000
 
 
+def _guard_order(n, what):
+    if n > DENSE_ORDER_LIMIT:
+        raise SizeGuardError(f"{what} is capped at order {DENSE_ORDER_LIMIT}, got n = {n}")
+
+
 def build_dense(spec, variant="circulant"):
     """Dense matrix for ``spec``: diagonal c, off-diagonals a, and, for the
     circulant variant, the two corner entries a."""
     n = spec.n
-    if n > DENSE_ORDER_LIMIT:
-        raise SizeGuardError(
-            f"dense assembly is capped at order {DENSE_ORDER_LIMIT}, got n = {n}"
-        )
+    _guard_order(n, "dense assembly")
     if variant not in ("circulant", "tridiagonal"):
         raise ValueError(f"unknown variant {variant!r}")
     out = np.zeros((n, n))
@@ -101,11 +103,7 @@ def spectral_inverse_first_row(spec):
     meaningful for the circulant variant only.  An eigenvalue no larger in
     magnitude than 1e-14 (|c| + 2|a|) raises SingularEigenvalueError.
     """
-    if spec.n > DENSE_ORDER_LIMIT:
-        raise SizeGuardError(
-            f"spectral row evaluation is capped at order {DENSE_ORDER_LIMIT}, "
-            f"got n = {spec.n}"
-        )
+    _guard_order(spec.n, "spectral row evaluation")
     angles = 2.0 * np.pi * np.arange(spec.n) / spec.n
     lam = spec.c + 2.0 * spec.a * np.cos(angles)
     floor = 1e-14 * (abs(spec.c) + 2.0 * abs(spec.a))

@@ -238,11 +238,12 @@ def _generate_r(f, n):
     # generate_r past its input checks: f is a float vector reaching f_n
     # with no zero among f_1 .. f_n.  A pivot below 1 in magnitude, which
     # only |d| <= 2 gives, can overflow the divisions; run this under
-    # np.errstate then, so that the check below raises with no warning.
+    # np.errstate then, so that the check below raises with no warning.  A
+    # sum is non-finite whenever an entry is; only then look entry by entry.
     r = (f[n] / f[2 : n + 1]) / f[1:n]
     r *= f[1]
-    if not np.isfinite(r).all():
-        bad = int(np.nonzero(~np.isfinite(r))[0][0]) + 1
+    if not math.isfinite(np.add.reduce(r)) and not np.isfinite(r).all():
+        bad = int(np.argmin(np.isfinite(r))) + 1
         raise GrowthOverflowError(
             f"r_{bad} exceeds the 64-bit range (f_n = {f[n]})", failing_index=bad
         )

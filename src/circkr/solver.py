@@ -22,8 +22,9 @@ the mantissa of a.  The shift 2**s, with s = (e_{n+1} - 1) // 2 for
 |f_{n+1}| = m 2**e_{n+1}, is near sqrt|f_{n+1}|, so 4**s is at most
 2**1022.  That keeps f_i b_i / 2**s and every term within about 2**+-520
 however close |f_{n+1}| comes to the largest double.  Each solve works out
-s and the mantissa and exponent of a afresh; nothing is cached on the
-factorization.
+s and the mantissa and exponent of a afresh; the factorization holds only
+the flag ``_unit_pivots``, which says whether the divisions need
+``np.errstate``.
 
 A block is first copied into the (k, n) buffer, the one copy the kernel
 needs.  Each column's exponent e is read from that contiguous copy, so
@@ -56,7 +57,7 @@ def _not_finite(b, where=""):
     )
 
 
-def _solve(fct, rhs, e, top, out=None):
+def _solve(fct, rhs, e, top, out=None, quiet=False):
     """x for right-hand sides ``rhs`` of shape (n,) or (k, n), into ``out``.
 
     ``e`` holds each right-hand side's power-of-two exponent (an int, or a
@@ -64,22 +65,18 @@ def _solve(fct, rhs, e, top, out=None):
     b / 2**(e + s), and one exact rescale at the end restores 2**e, 2**s
     and the exponent of a.
     """
-    s = (math.frexp(fct.f[fct.spec.n + 1])[1] - 1) // 2
+    n = fct.spec.n
+    f = fct.f
+    s = (math.frexp(f[n + 1])[1] - 1) // 2
     mantissa, exponent = math.frexp(fct.spec.a)
     # With every |f_i| >= 1 only an upward rescale can leave the range; a
     # smaller pivot can overflow a division mid-solve.  numpy would warn
-    # before the final check raises.  A per-call errstate costs 1-2 us, and
-    # choosing a contextlib.nullcontext instead 0.2-0.4 us.
-    if fct._unit_pivots and top <= s + exponent:
-        return _passes(fct, rhs, e, s, mantissa, exponent, out)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _passes(fct, rhs, e, s, mantissa, exponent, out)
-
-
-def _passes(fct, rhs, e, s, mantissa, exponent, out):
-    # _solve's passes, from the rescale of b to the finiteness check.
-    n = fct.spec.n
-    f = fct.f
+    # before the final check raises, so such a solve re-enters itself under
+    # np.errstate before any pass runs.  A per-call errstate costs 1-2 us,
+    # and choosing a contextlib.nullcontext instead 0.2-0.4 us.
+    if not (quiet or fct._unit_pivots and top <= s + exponent):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _solve(fct, rhs, e, top, out, quiet=True)
     circulant = fct.variant == CIRCULANT
     m = n - 1 if circulant else n  # unknowns whose rows carry an x_n term
     out = np.ldexp(rhs, -s - e, out)

@@ -475,6 +475,22 @@ class TestParsing:
         assert run_cli("decompose", "--n", "5", "--c", "5") == 2
         assert capsys.readouterr().err.startswith("ERROR Usage:")
 
+    @pytest.mark.parametrize("c, a", [("-5e0", "2"), ("-5", "2"), ("5", "-2E0"), ("-.5e1", "2e0")])
+    def test_negative_exponent_form_is_a_value(self, capsys, c, a):
+        # argparse takes only the -1 and -1.5 forms as values by default.
+        assert run_cli("decompose", "--n", "5", f"--c={c}", f"--a={a}") == 0
+        expected = capsys.readouterr()
+        assert run_cli("decompose", "--n", "5", "--c", c, "--a", a) == 0
+        assert capsys.readouterr() == expected
+
+    def test_negative_exponent_form_reaches_every_subcommand(self, capsys):
+        assert run_cli("bench", "--sizes", "64", "--d", "-2.5e0", "--reps", "1") == 0
+        assert "d = -2.5," in capsys.readouterr().out
+        assert run_cli("decompose", "--n", "5", "--c", "-inf", "--a", "1") == 2
+        assert capsys.readouterr().err.startswith("ERROR InvalidSpec:")
+        assert run_cli("decompose", "--n", "5", "--c", "-5e0", "--a", "2", "-x") == 2
+        assert capsys.readouterr().err.startswith("ERROR Usage:")
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "decompose" in capsys.readouterr().out

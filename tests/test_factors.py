@@ -217,6 +217,18 @@ class TestFastActions:
             with pytest.raises(GrowthOverflowError, match="is not finite"):
                 action(fct, x)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("d", [2.05, -2.5, 1.3, -0.7])
+    def test_apply_k_inverse_is_the_first_difference(self, variant, d):
+        # x_1 = y_1 / f_1 and x_i = (y_i - y_{i-1}) / f_i, byte for byte,
+        # on strict (|d| > 2) and permissive factorizations.
+        make = decompose if variant == CIRCULANT else decompose_tridiagonal
+        fct = make(SystemSpec(16, d, 1.0, strict=abs(d) > 2.0))
+        f = fct.f
+        y = np.random.default_rng(505).standard_normal(16)
+        expected = [y[0] / f[1]] + [(y[i] - y[i - 1]) / f[i + 1] for i in range(1, 16)]
+        assert apply_k_inverse(fct, y).tobytes() == np.array(expected).tobytes()
+
     def test_vector_length_checked(self, fct5):
         for action in (apply_k, apply_k_inverse, apply_r, apply_r_inverse):
             with pytest.raises(DimensionMismatchError):

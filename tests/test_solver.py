@@ -1,3 +1,4 @@
+import copy
 import math
 import threading
 import time
@@ -354,6 +355,30 @@ def test_tiny_permissive_pivot_raises_without_warning(circulant, many, hand_buil
             solve_many(fct, b)
         else:
             solve(fct, b[:, 0])
+
+
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+@pytest.mark.parametrize("spec", [SystemSpec(16, 2.05, 1.0), SystemSpec(64, -2.5e200, 1e200)])
+def test_quiet_path_gives_the_bare_path_bytes(monkeypatch, spec, circulant):
+    # A strict factorization solves bare.  A copy that claims a pivot below 1
+    # runs the same passes under np.errstate, with the same bytes.
+    fct = _factorize(spec, circulant)
+    b = np.random.default_rng(808).standard_normal((spec.n, 3))
+    entered = []
+    errstate = np.errstate
+
+    def counted(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    bare = solve(fct, b[:, 0]), solve_many(fct, b)
+    assert entered == []
+    quiet = copy.copy(fct)
+    object.__setattr__(quiet, "_unit_pivots", False)
+    assert solve(quiet, b[:, 0]).tobytes() == bare[0].tobytes()
+    assert solve_many(quiet, b).tobytes() == bare[1].tobytes()
+    assert entered == [{"over": "ignore", "invalid": "ignore"}] * 2
 
 
 @pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
