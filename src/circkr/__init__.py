@@ -36,7 +36,7 @@ from .factors import (
     materialize,
 )
 from .inverse import inverse_dense, inverse_first_row
-from .oracle import build_dense, dense_solve, spectral_inverse_first_row
+from .oracle import build_dense, dense_solve, spectral_inverse_first_row, spectral_solve
 from .recurrence import SystemSpec, compute_g, generate_f, generate_r, growth_ratio
 from .solver import count_operations, solve, solve_many
 
@@ -80,4 +80,5 @@ __all__ = [
     "solve",
     "solve_many",
     "spectral_inverse_first_row",
+    "spectral_solve",
 ]

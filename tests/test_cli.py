@@ -9,14 +9,16 @@ import pytest
 
 from circkr import (
     SystemSpec,
+    build_dense,
     decompose,
     decompose_tridiagonal,
     inverse_dense,
     inverse_first_row,
     materialize,
+    reconstruct,
     solve,
 )
-from circkr.cli import _build_parser, _rows, main
+from circkr.cli import _build_parser, _reconstruction_gap, _relative_gap, _rows, main
 from circkr.factors import FACTOR_NAMES
 
 from grids import peak_doubles
@@ -329,7 +331,7 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "verdict: all residuals within 1e-08"
         assert "reconstruction residual = " in out
-        assert "solve residual vs dense oracle = " in out
+        assert "solve residual vs spectral oracle = " in out
         assert "inverse first row vs spectral oracle = " in out
 
     def test_tridiagonal_variant(self, capsys):
@@ -346,23 +348,40 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "verdict: residuals exceed 1e-08"
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 16, 255, 256, 257])
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    def test_reconstruction_gap_matches_dense_gap(self, n, variant):
+        # The in-place gap subtracts each entry build_dense writes once:
+        # at n = 3 and 4 a corner subtracted twice or not at all would show.
+        build = decompose if variant == "circulant" else decompose_tridiagonal
+        for scale in (1.0, 1e300, 1e-300):
+            for c_sign in (1.0, -1.0):
+                for a_sign in (1.0, -1.0):
+                    a = a_sign * scale
+                    spec = SystemSpec(n, c_sign * 2.5 * scale, a)
+                    fct = build(spec)
+                    expected = _relative_gap(reconstruct(fct), build_dense(spec, variant))
+                    assert _reconstruction_gap(fct) == expected, (scale, c_sign, a_sign)
+
     # The first check in a process imports numpy's lazy submodules and
     # builds the parser, about 0.9 MB that is not the command's own memory;
     # an untraced run of the same argv first keeps it out of the peak.
-    def test_holds_two_dense_arrays(self, capsys):
-        # The dense matrix plus one n x n result or elimination buffer at a time.
+    def test_holds_one_dense_array(self, capsys):
+        # reconstruct's n x n buffer plus its K^-1 block scratch (3/16 n^2
+        # at this order); the spectral solve and first row hold O(n).
         n = 256
         argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1")
         run_cli(*argv)
-        assert peak_doubles(run_cli, *argv) <= 2.6 * n * n
+        assert peak_doubles(run_cli, *argv) <= 1.3 * n * n
 
-    def test_tridiagonal_holds_two_dense_arrays(self, capsys):
+    def test_tridiagonal_holds_one_dense_array(self, capsys):
         # The identity residual is formed row by row from the inverse, with
-        # no product matrix or identity beside it.
+        # no product matrix or identity beside it, once reconstruct's buffer
+        # is gone.
         n = 256
         argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1", "--variant", "tridiagonal")
         run_cli(*argv)
-        assert peak_doubles(run_cli, *argv) <= 2.6 * n * n
+        assert peak_doubles(run_cli, *argv) <= 1.3 * n * n
 
 
 class TestNoFloatWarnings:

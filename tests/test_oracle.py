@@ -13,9 +13,10 @@ from circkr import (
     build_dense,
     dense_solve,
     spectral_inverse_first_row,
+    spectral_solve,
 )
 
-from grids import peak_doubles
+from grids import grid_cases, peak_doubles
 
 
 def textbook_dense_solve(matrix, rhs):
@@ -254,3 +255,53 @@ class TestSpectral:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             spectral_inverse_first_row(SystemSpec(10_001, 5.0, 2.0))
+
+
+class TestSpectralSolve:
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    @pytest.mark.parametrize("n, d, a", grid_cases())
+    def test_matches_dense_solve_on_strict_grid(self, n, d, a, variant):
+        spec = SystemSpec(n, d * a, a)
+        dense = build_dense(spec, variant)
+        bound = 64 * np.linalg.cond(dense) * np.finfo(float).eps
+        for rhs in right_hand_sides(n, n)[:2]:
+            got = spectral_solve(spec, rhs, variant)
+            assert got.shape == rhs.shape
+            reference = dense_solve(dense, rhs)
+            assert np.abs(got - reference).max() <= bound * np.abs(reference).max()
+
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    def test_empty_block_keeps_its_shape(self, variant):
+        assert spectral_solve(SystemSpec(6, 5.0, 2.0), np.empty((6, 0)), variant).shape == (6, 0)
+
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    @pytest.mark.parametrize("shape", [(4,), (6,), (4, 2), (5, 2, 1), ()])
+    def test_shape_validation(self, variant, shape):
+        with pytest.raises(DimensionMismatchError):
+            spectral_solve(SystemSpec(5, 5.0, 2.0), np.ones(shape), variant)
+
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(ValueError):
+            spectral_solve(SystemSpec(4, 10.0, 1.0), np.ones(4), "banded")
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 64])
+    def test_circulant_singular_eigenvalue(self, n):
+        # d = -2 makes the j = 0 eigenvalue exactly zero.
+        spec = SystemSpec(n, -2.0, 1.0, strict=False)
+        with pytest.raises(SingularEigenvalueError, match="circulant eigenvalue 0"):
+            spectral_solve(spec, np.ones(n))
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 64])
+    def test_tridiagonal_singular_eigenvalue(self, n):
+        # d = -2 cos(pi / (n+1)) zeroes the k = 1 eigenvalue up to rounding.
+        spec = SystemSpec(n, -2.0 * np.cos(np.pi / (n + 1)), 1.0, strict=False)
+        with pytest.raises(SingularEigenvalueError, match="tridiagonal eigenvalue 1"):
+            spectral_solve(spec, np.ones(n), "tridiagonal")
+
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    def test_does_not_mutate_inputs(self, variant):
+        for rhs in right_hand_sides(9, 9)[:2]:
+            snapshot = rhs.copy()
+            rhs.flags.writeable = False
+            spectral_solve(SystemSpec(9, -7.0, 2.5), rhs, variant)
+            assert_array_equal(rhs, snapshot)
