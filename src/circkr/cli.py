@@ -39,10 +39,10 @@ import warnings
 
 import numpy as np
 
-from .decomposition import decompose, decompose_tridiagonal, reconstruct
+from .decomposition import _reconstruct_rows, decompose, decompose_tridiagonal
 from .errors import CircKRError, SizeGuardError, UsageError
-from .factors import CIRCULANT, FACTOR_NAMES, _guard_dense, materialize
-from .inverse import inverse_dense, inverse_first_row
+from .factors import CIRCULANT, FACTOR_NAMES, _block_rows, _guard_dense, materialize
+from .inverse import _tridiagonal_rows, inverse_dense, inverse_first_row
 from .oracle import spectral_inverse_first_row, spectral_solve
 from .recurrence import SystemSpec
 from .solver import solve, solve_many
@@ -67,9 +67,10 @@ class _Parser(argparse.ArgumentParser):
 def _rows(matrix, precision, sep):
     """Text of a 2-D payload: one line per row, each value as %.{precision}g.
 
-    Yields about 4096 values at a time as one string of whole rows, so only
-    one chunk's text and Python floats are held at once.  Adding 0.0 prints
-    -0.0 as 0.
+    Yields one string of whole rows at a time, about 4096 values, so only
+    one chunk's text and Python floats are held at once; a row longer than
+    4096 values is a chunk of its own (``invert --mode first-row`` at
+    n = 4096 is one).  Adding 0.0 prints -0.0 as 0.
     """
     line = sep.join([f"%.{precision}g"] * matrix.shape[1])
     step = max(1, 4096 // matrix.shape[1])
@@ -176,37 +177,69 @@ def _relative_gap(ours, reference):
 
 
 def _identity_residual(fct):
-    # max |X A - I| for X = inverse_dense(fct).  Row i of X A is row i of X
-    # convolved with A's stencil (a, c, a), so each row is overwritten in
-    # place: O(n^2), no dense product.
-    stencil = np.array([fct.spec.a, fct.spec.c, fct.spec.a])
-    x = inverse_dense(fct)
-    for i, row in enumerate(x):
-        row[:] = np.convolve(row, stencil, "same")
-        row[i] -= 1.0
-    return np.abs(x, x).max()
+    """max |X A - I| for X the tridiagonal inverse, in O(n^2) with no n x n
+    array.
+
+    X is written one block of rows at a time by ``inverse_dense``'s own
+    block writer, into one scratch block.  Row i of X A is row i of X
+    convolved with A's stencil (a, c, a), so each row is overwritten in
+    place, 1 is subtracted at (i, i), and the block's largest magnitude is
+    kept.  Every entry is made by the same operations as on the whole
+    inverse, so the value is bit for bit the whole inverse's.
+    """
+    n, a = fct.spec.n, fct.spec.a
+    stencil = np.array([a, fct.spec.c, a])
+    rows = _block_rows(n)
+    write = _tridiagonal_rows(fct, rows)
+    block = np.empty((rows, n))
+    residual = 0.0
+    for lo in range(0, n, rows):
+        x = write(lo, block[: n - lo])
+        for i, row in enumerate(x, lo):
+            row[:] = np.convolve(row, stencil, "same")
+            row[i] -= 1.0
+        # np.maximum, not max: a NaN in any block must reach the result.
+        residual = np.maximum(residual, np.abs(x, x).max())
+    return residual
 
 
 def _reconstruction_gap(fct):
-    # _relative_gap(reconstruct(fct), build_dense(spec, variant)) with no
-    # dense matrix: the entries build_dense writes (diagonal c, off-diagonals
-    # a, and for the circulant the two corners a) are subtracted in place,
-    # every other entry x - 0 is x itself, and the dense matrix's largest
-    # magnitude is max(|c|, |a|), never 0 since a is not.
+    """_relative_gap(reconstruct(fct), build_dense(spec, variant)), bit for
+    bit, in O(n^2) with no n x n array.
+
+    ``reconstruct``'s row-block kernel writes one block of columns of the
+    rebuilt matrix at a time into one scratch block.  The entries
+    build_dense writes (diagonal c, off-diagonals a, and for the circulant
+    the two corners a) are subtracted in place; the dense matrix is
+    symmetric, so column i takes the same values as row i.  Every other
+    entry x - 0 is x itself, and the dense matrix's largest magnitude is
+    max(|c|, |a|), never 0 since a is not.
+    """
     n, c, a = fct.spec.n, fct.spec.c, fct.spec.a
-    ours = reconstruct(fct)
-    steps = np.arange(n)
-    ours[steps, steps] -= c
-    ours[steps[:-1], steps[1:]] -= a
-    ours[steps[1:], steps[:-1]] -= a
-    if fct.variant == CIRCULANT:
-        ours[0, n - 1] -= a
-        ours[n - 1, 0] -= a
-    return np.abs(ours, ours).max() / max(abs(c), abs(a))
+    rows = _block_rows(n)
+    block = np.empty((rows, n))
+    gap = 0.0
+    for lo in range(0, n, rows):
+        ours = _reconstruct_rows(fct, lo, block[: n - lo])
+        # Row k of ours is column lo + k of the rebuilt matrix, and its
+        # entry in row lo + k sits at lo + k (n + 1) of the flattened block,
+        # so each diagonal is one strided slice.
+        flat = ours.reshape(-1)
+        flat[lo :: n + 1] -= c
+        flat[lo + 1 :: n + 1] -= a
+        flat[lo - 1 if lo else n :: n + 1] -= a
+        if fct.variant == CIRCULANT:
+            if lo == 0:
+                ours[0, n - 1] -= a
+            if lo + len(ours) == n:
+                ours[-1, 0] -= a
+        gap = np.maximum(gap, np.abs(ours, ours).max())
+    return gap / max(abs(c), abs(a))
 
 
 def cmd_check(ns):
     spec, fct = _factorize(ns)
+    _guard_dense(spec.n)  # the verification kernels keep the dense order cap
     recon = _reconstruction_gap(fct)
 
     rng = np.random.default_rng(12345)

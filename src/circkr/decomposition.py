@@ -12,8 +12,10 @@ from .factors import (
     CIRCULANT,
     TRIDIAGONAL,
     Factorization,
+    _a1_rows,
+    _block_rows,
+    _guard_dense,
     _r_pass,
-    materialize,
 )
 from .recurrence import SystemSpec, _compute_g, _generate_r, generate_f
 
@@ -57,26 +59,49 @@ def decompose_tridiagonal(spec: SystemSpec) -> Factorization:
     return Factorization._from_checked(spec, f, np.empty(0), None, TRIDIAGONAL)
 
 
+def _reconstruct_rows(fct, lo, out):
+    """Rows lo .. lo + len(out) - 1 of reconstruct's core, written into the
+    C-contiguous block ``out``: columns lo .. of the rebuilt matrix.
+
+    The core is (a K^-1 R^-1 A1^T)^T.  Each row is a row of A1, then R^-1
+    (the solver's R pass) adds -r . x[:n-1] to its last entry, K^-1 takes a
+    first difference along it and divides entry j by f_{j+1}, and the row
+    is scaled by a.  Every entry is formed by the same operations whatever
+    the block, so any split into blocks gives the same bytes.
+    """
+    n = fct.spec.n
+    out.fill(0.0)
+    _a1_rows(fct, lo, out)
+    if fct.variant == CIRCULANT:
+        _r_pass(fct, out, -1.0)
+    # One difference over the flattened block: its only scratch is numpy's
+    # copy of the overlapping input, where a 2-D difference also takes up
+    # to 16384 doubles of iterator buffers.  The first entry of each row,
+    # from which it subtracted the previous row's last, is put back.
+    first = out[:, 0].copy()
+    flat = out.reshape(-1)
+    flat[1:] -= flat[:-1]
+    out[:, 0] = first
+    out /= fct.f[1 : n + 1]
+    out *= fct.spec.a
+    return out
+
+
 def reconstruct(fct: Factorization) -> np.ndarray:
     """Rebuild the dense matrix from its factors (verification path).
 
     Applies R^-1 (the solver's R pass) and K^-1 (a first-difference sweep)
-    to A1^T in place, then scales by a: O(n^2) and one n x n buffer after
-    the core factor is materialized.  Capped at 10**4.
+    to A1^T, then scales by a: O(n^2).  The result's transpose is filled
+    in blocks of 2**14 // n rows (2**14 entries, 128 KiB), each written as
+    rows of A1 and transformed while it is still in cache, so the only
+    scratch beside the n x n result is numpy's copy of one block.  The
+    CLI's ``check`` runs the same row-block kernel into one scratch block
+    instead.  Capped at 10**4.
     """
     n = fct.spec.n
-    core = materialize(fct, "A1")
-    out = core.T
-    if fct.variant == CIRCULANT:
-        _r_pass(fct, core, -1.0)
-    # K^-1 subtracts from each row of out the original row above it: a first
-    # difference along each row of the contiguous core, taken in place for
-    # blocks of its rows.  numpy's copy of the overlapping right-hand side and
-    # its iterator buffers take up to 3 * rows * n doubles, at most 3/16 n^2;
-    # apply_k_inverse's vector form would need an n x n temporary here.
-    rows = min(16, max(1, n // 16))
+    _guard_dense(n)
+    core = np.empty((n, n))
+    rows = _block_rows(n)
     for lo in range(0, n, rows):
-        core[lo : lo + rows, 1:] -= core[lo : lo + rows, :-1]
-    out /= fct.f[1 : n + 1][:, None]
-    out *= fct.spec.a
-    return out
+        _reconstruct_rows(fct, lo, core[lo : lo + rows])
+    return core.T

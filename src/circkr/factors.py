@@ -62,6 +62,11 @@ VARIANTS = (CIRCULANT, TRIDIAGONAL)
 # Largest order for which dense n x n materialization is allowed.
 DENSE_ORDER_LIMIT = 10_000
 
+# 2**14 entries (128 KiB) per row block of the verification kernels: with
+# numpy's copy of a block in its first difference, or its buffer of a
+# broadcast f (up to 8192 doubles), a block's scratch stays in L2.
+_BLOCK_ENTRIES = 2**14
+
 FACTOR_NAMES = ("K", "K_inv", "R", "R_inv", "A1", "A1_inv")
 
 
@@ -230,6 +235,12 @@ def _guard_dense(n):
         )
 
 
+def _block_rows(n):
+    # Rows per block of the O(n^2) verification kernels (reconstruct and
+    # check's two residuals): _BLOCK_ENTRIES entries, at least one row.
+    return min(n, max(1, _BLOCK_ENTRIES // n))
+
+
 def _k_pass(fct, out):
     """y = K x in place along the last axis: one prefix sum of f_i x_i."""
     np.multiply(out, fct.f[1 : fct.spec.n + 1], out)
@@ -342,20 +353,30 @@ def _dense_r(fct, inverse=False):
     return out
 
 
+def _a1_rows(fct, lo, out):
+    """Rows lo .. lo + len(out) - 1 of the dense A1, written into the zeroed,
+    C-contiguous ``out``.
+
+    Row i holds f_i at column i - 1 (from row 1 on) and -f_{i+2} at i; the
+    circulant closure row n - 1 is (1, ..., 1, f_{n-1} + 1, g) instead.
+    """
+    n, f = fct.spec.n, fct.f
+    hi = lo + len(out)
+    # In the flattened C-contiguous block, entry (i, i) of row i = lo + k
+    # sits at lo + k (n + 1): each diagonal is one strided slice.
+    flat = out.reshape(-1)
+    flat[lo :: n + 1] = -f[lo + 2 : hi + 2]
+    flat[lo - 1 if lo else n :: n + 1] = f[max(lo, 1) : hi]
+    if fct.variant == CIRCULANT and hi == n:
+        out[-1, : n - 2] = 1.0
+        out[-1, n - 2] = f[n - 1] + 1.0
+        out[-1, n - 1] = fct.g
+    return out
+
+
 def _dense_a1(fct):
     n = fct.spec.n
-    f = fct.f
-    out = np.zeros((n, n))
-    if fct.variant == CIRCULANT:
-        out[np.arange(n - 1), np.arange(n - 1)] = -f[2 : n + 1]
-        out[n - 1, n - 1] = fct.g
-        out[np.arange(1, n - 1), np.arange(0, n - 2)] = f[1 : n - 1]
-        out[n - 1, n - 2] = f[n - 1] + 1.0
-        out[n - 1, : n - 2] = 1.0
-    else:
-        out[np.arange(n), np.arange(n)] = -f[2 : n + 2]
-        out[np.arange(1, n), np.arange(0, n - 1)] = f[1:n]
-    return out
+    return _a1_rows(fct, 0, np.zeros((n, n)))
 
 
 def _dense_a1_inverse(fct):

@@ -90,10 +90,11 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
     is raised before the fill if the largest entry leaves the 64-bit range.
     The result is filled in blocks of at most 64 rows and 2**16 entries
     (512 KiB), each written by einsum outer products and divided by a
-    while it is still in cache.  Multiplication commutes and einsum forms
-    one product per entry, so each entry is fl(fl(-f G) / a), byte for
-    byte that of one outer product, its lower triangle mirrored, then
-    divided by a.  einsum adds each product to a zeroed output, which would
+    while it is still in cache; the CLI's ``check`` takes its identity
+    residual from the same block writer, one block at a time, with no
+    n x n array.  Multiplication commutes and einsum forms one product per
+    entry, so each entry is fl(fl(-f G) / a), byte for byte that of one
+    outer product, its lower triangle mirrored, then divided by a.  einsum adds each product to a zeroed output, which would
     turn -0.0 into +0.0, but the pivots f_1 .. f_{n+1} are nonzero, so no
     product is zero.
 
@@ -116,6 +117,31 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
         out = np.empty((n, n))
         _fill_in_bands(lambda lo, hi: np.copyto(out[lo:hi], window[lo:hi]), n, 1)
         return out
+    # 2**16 entries (512 KiB) stay in L2 from the fill to the division; at
+    # most 64 rows keep the diagonal block's scratch within 32 KiB.
+    step = min(n, 64, 2**16 // n)
+    write = _tridiagonal_rows(fct, step)
+    out = np.empty((n, n))
+
+    def fill(lo, hi):
+        for i0 in range(lo, hi, step):
+            write(i0, out[i0 : i0 + step])
+
+    _fill_in_bands(fill, n, step)
+    return out
+
+
+def _tridiagonal_rows(fct, step):
+    """Writer of blocks of rows of the tridiagonal inverse, -f_min(i,j) *
+    G_max(i,j) / a, each block at most ``step`` rows high.
+
+    ``write(lo, out)`` fills ``out`` with rows lo .. lo + len(out) - 1 and
+    returns it; it may run on several threads at once.  GrowthOverflowError
+    is raised here, before any block is written, if the largest entry
+    leaves the 64-bit range.  Each block takes its products from einsum
+    outer products and is divided by a while it is still in cache.
+    """
+    n, a = fct.spec.n, fct.spec.a
     # A permissive f_{n+1} can be tiny and G overflow; the check raises
     # GrowthOverflowError then, with no numpy warning ahead of it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,29 +149,23 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
         minus_f = -fct.f[1 : n + 1]
         # Largest entry: |f_i| max_{j>=i} |G_j| / |a|.
         peak = np.max(np.abs(minus_f) * np.maximum.accumulate(np.abs(G)[::-1])[::-1])
-        if not np.isfinite(peak / abs(fct.spec.a)):
+        if not np.isfinite(peak / abs(a)):
             raise GrowthOverflowError("the tridiagonal inverse leaves the 64-bit range")
-    out = np.empty((n, n))
-    # 2**16 entries (512 KiB) stay in L2 from the fill to the division; at
-    # most 64 rows keep the diagonal block's scratch within 32 KiB.
-    step = min(n, 64, 2**16 // n)
     strictly_lower = np.tri(step, step, -1, dtype=bool)
 
-    def fill(lo, hi):
-        for i0 in range(lo, hi, step):
-            i1 = min(i0 + step, n)
-            rows = out[i0:i1]
-            # Row i: -f_i G_j for j >= i0, then the mirrored -f_j G_i for j < i0 ...
-            np.einsum("i,j->ij", minus_f[i0:i1], G[i0:], out=rows[:, i0:])
-            np.einsum("i,j->ij", G[i0:i1], minus_f[:i0], out=rows[:, :i0])
-            # ... and for i0 <= j < i, inside the diagonal block.
-            b = i1 - i0
-            mirrored = np.einsum("i,j->ij", G[i0:i1], minus_f[i0:i1])
-            np.copyto(rows[:, i0:i1], mirrored, where=strictly_lower[:b, :b])
-            np.divide(rows, fct.spec.a, rows)
+    def write(lo, out):
+        hi = lo + len(out)
+        # Row i: -f_i G_j for j >= lo, then the mirrored -f_j G_i for j < lo ...
+        np.einsum("i,j->ij", minus_f[lo:hi], G[lo:], out=out[:, lo:])
+        np.einsum("i,j->ij", G[lo:hi], minus_f[:lo], out=out[:, :lo])
+        # ... and for lo <= j < i, inside the diagonal block.
+        b = hi - lo
+        mirrored = np.einsum("i,j->ij", G[lo:hi], minus_f[lo:hi])
+        np.copyto(out[:, lo:hi], mirrored, where=strictly_lower[:b, :b])
+        np.divide(out, a, out)
+        return out
 
-    _fill_in_bands(fill, n, step)
-    return out
+    return write
 
 
 def inverse_first_row(fct: Factorization) -> np.ndarray:

@@ -18,7 +18,15 @@ from circkr import (
     reconstruct,
     solve,
 )
-from circkr.cli import _build_parser, _reconstruction_gap, _relative_gap, _rows, main
+from circkr import factors
+from circkr.cli import (
+    _build_parser,
+    _identity_residual,
+    _reconstruction_gap,
+    _relative_gap,
+    _rows,
+    main,
+)
 from circkr.factors import FACTOR_NAMES
 
 from grids import peak_doubles
@@ -325,6 +333,17 @@ class TestInvertCommand:
         assert capsys.readouterr().out == first
 
 
+def whole_inverse_identity_residual(fct):
+    """check's tridiagonal identity residual on the whole inverse at once:
+    the reference the blocked residual must reproduce bit for bit."""
+    stencil = np.array([fct.spec.a, fct.spec.c, fct.spec.a])
+    x = inverse_dense(fct)
+    for i, row in enumerate(x):
+        row[:] = np.convolve(row, stencil, "same")
+        row[i] -= 1.0
+    return np.abs(x, x).max()
+
+
 class TestCheckCommand:
     def test_fixture_passes(self, capsys):
         assert run_cli("check", *FIXTURE) == 0
@@ -363,25 +382,68 @@ class TestCheckCommand:
                     expected = _relative_gap(reconstruct(fct), build_dense(spec, variant))
                     assert _reconstruction_gap(fct) == expected, (scale, c_sign, a_sign)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 16, 65, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("d, strict", [(2.0001, True), (-2.05, True), (1.3, False),
+                                           (-0.7, False)])
+    def test_identity_residual_matches_whole_inverse(self, n, d, strict):
+        # Blocks of 2**14 // n rows: one block up to n = 128, and a partial
+        # last block at 255, 257 and 1000.
+        for a in (1.3, -0.7, 1e-200, 3e300):
+            fct = decompose_tridiagonal(SystemSpec(n, d * a, a, strict))
+            assert _identity_residual(fct) == whole_inverse_identity_residual(fct), a
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 16, 33, 63, 64])
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    @pytest.mark.parametrize("budget", [7, 200])
+    def test_residuals_in_small_blocks(self, monkeypatch, n, variant, budget):
+        # Budgets of 7 and 200 entries take 1 to 12 rows a block here, with
+        # a partial last block at n = 3, 16, 33 and 64, so block edges fall
+        # beside the corners and across the diagonals.  At the default
+        # budget these orders fill one block, as the whole matrix did.
+        build = decompose if variant == "circulant" else decompose_tridiagonal
+        cases = []
+        for d, strict in ((2.05, True), (-2.5, True), (1.3, False), (-0.7, False)):
+            for a in (1.3, -0.7, 1e-200, 3e300):
+                spec = SystemSpec(n, d * a, a, strict)
+                fct = build(spec)
+                whole = reconstruct(fct)
+                cases.append((fct, whole, _relative_gap(whole.copy(), build_dense(spec, variant))))
+        monkeypatch.setattr(factors, "_BLOCK_ENTRIES", budget)
+        for fct, whole, gap in cases:
+            assert reconstruct(fct).tobytes() == whole.tobytes()
+            assert _reconstruction_gap(fct) == gap
+            if variant == "tridiagonal":
+                assert _identity_residual(fct) == whole_inverse_identity_residual(fct)
+
     # The first check in a process imports numpy's lazy submodules and
     # builds the parser, about 0.9 MB that is not the command's own memory;
     # an untraced run of the same argv first keeps it out of the peak.
-    def test_holds_one_dense_array(self, capsys):
-        # reconstruct's n x n buffer plus its K^-1 block scratch (3/16 n^2
-        # at this order); the spectral solve and first row hold O(n).
-        n = 256
+    @pytest.mark.parametrize("n", [256, 2000])
+    def test_holds_no_dense_array(self, capsys, n):
+        # One block of 2**14 entries and numpy's copy of it in the K^-1
+        # first difference; the spectral solve and first row hold O(n).
         argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1")
         run_cli(*argv)
-        assert peak_doubles(run_cli, *argv) <= 1.3 * n * n
+        assert peak_doubles(run_cli, *argv) <= 2 * factors._BLOCK_ENTRIES + 16 * n
 
-    def test_tridiagonal_holds_one_dense_array(self, capsys):
-        # The identity residual is formed row by row from the inverse, with
-        # no product matrix or identity beside it, once reconstruct's buffer
-        # is gone.
-        n = 256
+    @pytest.mark.parametrize("n", [256, 2000])
+    def test_tridiagonal_holds_no_dense_array(self, capsys, n):
+        # The identity residual's block of inverse rows and the square of
+        # its diagonal block take less than the reconstruction's block and
+        # copy; the DST-I solve holds O(n).
         argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1", "--variant", "tridiagonal")
         run_cli(*argv)
-        assert peak_doubles(run_cli, *argv) <= 1.3 * n * n
+        assert peak_doubles(run_cli, *argv) <= 2 * factors._BLOCK_ENTRIES + 16 * n
+
+    @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
+    def test_dense_order_cap(self, capsys, variant):
+        # Slow growth keeps the factorization finite at this order, so the
+        # cap that the verification kernels keep is what trips.
+        code = run_cli("check", "--n", "10001", "--c", "2.0001", "--a", "1", "--variant", variant)
+        assert code == 6
+        out = capsys.readouterr()
+        assert out.err.splitlines()[0].startswith("ERROR SizeGuard:")
+        assert out.out == ""
 
 
 class TestNoFloatWarnings:

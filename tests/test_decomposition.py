@@ -173,8 +173,9 @@ class TestDecompose:
 
 
 def row_by_row_reconstruct(fct):
-    """reconstruct with its K^-1 sweep one row at a time, bottom-up: the
-    reference the blocked sweep must reproduce byte for byte."""
+    """reconstruct as one pass over the whole matrix, its K^-1 sweep one
+    row at a time, bottom-up: the reference the row-block kernel must
+    reproduce byte for byte."""
     n = fct.spec.n
     out = materialize(fct, "A1").T
     if fct.variant == CIRCULANT:
@@ -233,9 +234,11 @@ class TestReconstruct:
         assert np.abs(dense[~mask]).max() <= 1e-12
 
     @pytest.mark.parametrize("decomposer", [decompose, decompose_tridiagonal])
-    # The sweep takes min(16, n // 16) rows a call, at least one: orders
-    # where that count changes, and with the last block full or partial.
-    @pytest.mark.parametrize("n", [3, 4, 16, 17, 18, 32, 33, 34, 65, 255, 256, 257])
+    # Blocks of 2**14 // n rows: one block up to n = 128, the last block
+    # full at 256 and partial at 129, 255, 257 and 1000.
+    @pytest.mark.parametrize(
+        "n", [3, 4, 16, 17, 18, 32, 33, 34, 65, 129, 255, 256, 257, 1000]
+    )
     def test_matches_row_by_row_sweep_bytes(self, n, decomposer):
         # Strict and permissive ratios, at tiny and huge scales.
         for d in (2.05, -2.5, 1.3, -0.7):
