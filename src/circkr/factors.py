@@ -253,7 +253,14 @@ def _r_pass(fct, out, sign=1.0):
     """y_n += sign * r . y[:n-1] in place along the last axis: R or R^-1."""
     head = out[..., :-1]
     # einsum sums in numpy's own loop; a BLAS dot may wake worker threads.
-    out.T[-1] += sign * np.einsum("...i,i->...", head, fct.r)
+    update = np.einsum("...i,i->...", head, fct.r)
+    if sign != 1.0:  # 1.0 * u is u
+        update = sign * update
+    if out.ndim == 1:
+        out[-1] += update
+    else:  # in place on the last column, with no copy back onto itself
+        last = out[:, -1]
+        np.add(last, update, last)
     _tally(head)
     return out
 

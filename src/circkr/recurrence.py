@@ -240,8 +240,10 @@ def _generate_r(f, n):
     # only |d| <= 2 gives, can overflow the divisions; run this under
     # np.errstate then, so that the check below raises with no warning.  A
     # sum is non-finite whenever an entry is; only then look entry by entry.
+    # A generated f has f_1 = 1, and x * 1.0 is x: that pass is skipped.
     r = (f[n] / f[2 : n + 1]) / f[1:n]
-    r *= f[1]
+    if f[1] != 1.0:
+        r *= f[1]
     if not math.isfinite(np.add.reduce(r)) and not np.isfinite(r).all():
         bad = int(np.argmin(np.isfinite(r))) + 1
         raise GrowthOverflowError(

@@ -2,7 +2,8 @@
 
 A x = b with A = a K^-1 R^-1 A1^T is solved by a fixed sequence of
 vectorized passes over one output buffer, for one right-hand side or a
-block of k of them (held as the rows of a (k, n) buffer):
+block of k of them (held as the rows of a (k, n) view of a (k, n + 1)
+buffer):
 
     b / 2**(e + s)            exact rescale; b / 2**e lies in [-1, 1)
     y = K (b / 2**(e + s))    ``_k_pass``: one prefix sum of f_i b_i
@@ -26,9 +27,20 @@ s and the mantissa and exponent of a afresh; the factorization holds only
 the flag ``_unit_pivots``, which says whether the divisions need
 ``np.errstate``.
 
-A block is first copied into the (k, n) buffer, the one copy the kernel
-needs.  Each column's exponent e is read from that contiguous copy, so
-non-finite entries are looked for after the copy, before any pass runs.
+A block is first copied into the rows of a zero-padded (k, n + 1) buffer,
+which the passes then transform into the result; its (k, n) view, taken
+without the pad column, is the result.  The pad keeps numpy from merging
+the two axes of the view, so a pass that broadcasts f or the (k, 1)
+exponents along the rows needs no iterator buffer, whatever k and n.  The
+three passes that broadcast nothing (the scalar multiply by 4**s over the
+mantissa, the tridiagonal 0 - y_k and the final finiteness check) run on
+the whole padded buffer, which is contiguous and needs none either; its pad
+stays a signed zero.  Each column's exponent e is read from the contiguous
+rows of the copy, so non-finite entries are looked for after the copy,
+before any pass runs.  A block of more than ``_GROUP_ENTRIES`` entries is
+copied in row tiles and solved in groups of at least two whole columns,
+each group a block of its own; columns never interact, so the bytes are
+the same.
 """
 
 import math
@@ -49,6 +61,11 @@ from .factors import (
 
 __all__ = ["count_operations", "solve", "solve_many"]
 
+# Entries of a block solved at once (1 MiB of doubles), so that the passes
+# over it stay in a 2 MiB private L2.  A larger block is copied in row tiles
+# of at most this many entries and solved in groups of whole columns.
+_GROUP_ENTRIES = 2**17
+
 
 def _not_finite(b, where=""):
     bad = int(np.argmin(np.isfinite(b)))
@@ -57,9 +74,11 @@ def _not_finite(b, where=""):
     )
 
 
-def _solve(fct, rhs, e, top, out=None, quiet=False):
-    """x for right-hand sides ``rhs`` of shape (n,) or (k, n), into ``out``.
+def _solve(fct, rhs, e, top, padded=None, quiet=False):
+    """x for one right-hand side ``rhs`` of shape (n,), or a block in place.
 
+    A block ``rhs`` is the (k, n) view of ``padded``, a (k, n + 1) buffer
+    whose rows are the right-hand sides, each followed by a zero pad entry.
     ``e`` holds each right-hand side's power-of-two exponent (an int, or a
     (k, 1) array) and ``top`` the largest of them.  The passes run on
     b / 2**(e + s), and one exact rescale at the end restores 2**e, 2**s
@@ -76,30 +95,45 @@ def _solve(fct, rhs, e, top, out=None, quiet=False):
     # and choosing a contextlib.nullcontext instead 0.2-0.4 us.
     if not (quiet or fct._unit_pivots and top <= s + exponent):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _solve(fct, rhs, e, top, out, quiet=True)
+            return _solve(fct, rhs, e, top, padded, quiet=True)
+    # The passes that broadcast nothing run on the whole padded buffer; the
+    # others on the (k, n) view (see the module docstring).
+    many = padded is not None
+    out = np.ldexp(rhs, -s - e, rhs if many else None)
+    if not many:
+        padded = out
     circulant = fct.variant == CIRCULANT
-    m = n - 1 if circulant else n  # unknowns whose rows carry an x_n term
-    out = np.ldexp(rhs, -s - e, out)
     _k_pass(fct, out)
-    corner = out.T  # entry j: a scalar, or the k right-hand sides' entries
-    x_n = 0.0
     if circulant:
+        m = n - 1  # unknowns whose rows carry an x_n term
+        body = out[..., :m]
         _r_pass(fct, out)
-        corner[m] /= fct.g
-        x_n = corner[m]  # x_n / 2**s
-    body = out[..., :m]
-    np.subtract(x_n, body.T, body.T)  # x_n broadcasts along the k axis
+        # x_n / 2**s.  A block's column of them is divided in place; a
+        # vector's entry is a numpy scalar, cheaper than a view.
+        if many:
+            x_n = out[:, m]
+            np.divide(x_n, fct.g, x_n)
+        else:
+            x_n = out[m] = out[m] / fct.g
+        np.subtract(x_n, body.T, body.T)  # x_n broadcasts along the k axis
+    else:  # no row carries an x_n term: 0 - y_k
+        m, body = n, out
+        np.subtract(0.0, padded, padded)
     np.divide(body, f[1 : m + 1], body)
-    np.multiply(out, math.ldexp(1.0 / mantissa, 2 * s), out)
+    np.multiply(padded, math.ldexp(1.0 / mantissa, 2 * s), padded)
     np.divide(body, f[2 : m + 2], body)
-    if circulant:
-        corner[m] /= f[n]  # scale x_n / (2**s f_n), the last u
+    if circulant:  # scale x_n / (2**s f_n), the last u
+        if many:
+            np.divide(x_n, f[n], x_n)
+        else:
+            out[m] /= f[n]
     backward = out[..., ::-1]
     np.add.accumulate(backward, -1, None, backward)
     np.multiply(out, f[1 : n + 1], out)
     _tally(out)
     np.ldexp(out, e - (s + exponent), out)  # e may be a (k, 1) array
-    return _require_finite(out, "back substitution left the 64-bit range")
+    _require_finite(padded, "back substitution left the 64-bit range")
+    return out
 
 
 def solve(fct: Factorization, b) -> np.ndarray:
@@ -120,12 +154,17 @@ def solve(fct: Factorization, b) -> np.ndarray:
 def solve_many(fct: Factorization, block) -> np.ndarray:
     """Solve one factorization against every column of ``block`` in O(n k).
 
-    Returns an (n, k) array, empty for k = 0.  All columns run through the
-    same vectorized passes at once, and column j of the result is
-    bit-identical to ``solve(fct, block[:, j])``.  ``block`` is never
-    written to.  Non-finite entries are looked for after the one copy the
-    kernel needs, before any pass runs, and the error names the first
-    column holding one.
+    Returns an (n, k) array, empty for k = 0: the transposed (k, n) view of
+    a zero-padded (k, n + 1) buffer, into whose rows the columns are copied.
+    That buffer is the only block-sized allocation.  All columns of a block
+    of up to 2**17 entries run through the same vectorized passes at once;
+    a larger block is copied in row tiles and solved in groups of whole
+    columns of about that size.  Up to n = 8193, column j of the result is
+    bit-identical to ``solve(fct, block[:, j])``; past that, the circulant
+    R pass of two or more columns may round its closure sum differently
+    from a single vector's.  ``block`` is never written to.  Non-finite
+    entries are looked for in the copy, before any pass runs, and the
+    error names the first column holding one.
     """
     block = np.asarray(block, dtype=float)
     n = fct.spec.n
@@ -133,11 +172,22 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side block must have shape ({n}, k), got {block.shape}"
         )
-    # The kernel works on one (k, n) buffer whose rows are the columns; the
-    # peaks are read from that contiguous copy, not from the strided block.
-    out = block.T.copy()
+    k = block.shape[1]
+    padded = np.zeros((k, n + 1))
+    out = padded[:, :n]
+    grouped = k * n > _GROUP_ENTRIES
+    if grouped:
+        # A transposing copy in row tiles of at most _GROUP_ENTRIES entries
+        # keeps both sides of each tile in cache.
+        rows = max(1, _GROUP_ENTRIES // k)
+        for i in range(0, n, rows):
+            out.T[i : i + rows] = block[i : i + rows]
+    else:
+        out.T[...] = block
+    # The peaks are read from the contiguous rows of the padded copy, not
+    # from the strided block; a zero pad leaves max(max, -min) unchanged.
     peak = np.maximum(
-        np.maximum.reduce(out, axis=1), -np.minimum.reduce(out, axis=1)
+        np.maximum.reduce(padded, axis=1), -np.minimum.reduce(padded, axis=1)
     )
     # NaN and infinity propagate into top; only then look column by column.
     top = float(peak.max(initial=0.0))
@@ -145,4 +195,19 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
         j = int(np.argmin(np.isfinite(peak)))
         raise _not_finite(out[j], f"right-hand side column {j + 1}: ")
     e = np.frexp(peak)[1][:, None]
-    return _solve(fct, out, e, math.frexp(top)[1], out=out).T
+    top = math.frexp(top)[1]  # the largest exponent
+    if grouped:
+        # Columns never interact, so a block too large for a private L2 is
+        # solved in groups of whole columns, each within the budget where
+        # it can be.  No group holds a single column of a wider block: over
+        # more than 8192 terms numpy's einsum sums the rows of a block in
+        # chunks and a single row in one run, so the R pass would change
+        # that column's bytes.
+        cols = max(1, _GROUP_ENTRIES // n)
+        count = min(-(-k // cols), max(1, k // 2))  # ceil(k / cols), or fewer
+        bounds = [j * k // count for j in range(count + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            _solve(fct, out[lo:hi], e[lo:hi], top, padded[lo:hi])
+    else:
+        _solve(fct, out, e, top, padded)
+    return out.T

@@ -270,6 +270,14 @@ class TestGenerateR:
         r = generate_r(f, n)
         assert abs(r[-1] * f[n - 1] - 1.0) <= 1e-12
 
+    def test_hand_built_first_pivot_scales_r(self):
+        # A generated f has f_1 = 1, and r skips its multiply by f_1; a
+        # hand-built f_1 = 2 must still scale r_j = f_n f_1 / (f_{j+1} f_j).
+        f = REFERENCE_F.copy()
+        f[1] = 2.0
+        expected = [f[5] * 2.0 / (f[j + 1] * f[j]) for j in range(1, 5)]
+        assert_allclose(generate_r(f, 5), expected, rtol=1e-15)
+
     def test_requires_enough_values(self):
         with pytest.raises(DimensionMismatchError):
             generate_r(generate_f(2.5, 4), 5)

@@ -2,6 +2,7 @@ import copy
 import math
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from circkr import (
     solve,
     solve_many,
 )
+from circkr import solver
 from circkr.factors import apply_k, apply_r
 
-from grids import GRID_A, GRID_D, grid_cases, infinity_norm
+from grids import GRID_A, GRID_D, grid_cases, infinity_norm, peak_doubles
 
 SOLVE_N = (3, 4, 5, 8, 16, 64, 200)
+VARIANT_IDS = ["circulant", "tridiagonal"]
 
 
 def _finite_specs():
@@ -146,8 +149,9 @@ def test_solve_many_leaves_its_block_unchanged(layout):
 
 
 def test_solve_many_4096_fortran_block_matches_columns():
-    # Fortran order makes block.T C-contiguous already; the copy still runs,
-    # and each column comes out bit for bit as its own solve.
+    # Fortran order makes each column contiguous; the copy into the rows of
+    # the padded buffer still runs, and each column comes out bit for bit
+    # as its own solve.
     fct = decompose(SystemSpec(4096, 2.0001, 1.0))
     block = np.asfortranarray(np.random.default_rng(4096).standard_normal((4096, 3)))
     got = solve_many(fct, block)
@@ -185,6 +189,112 @@ def test_solve_many_shape_check():
         solve_many(fct, np.ones(5))
     with pytest.raises(DimensionMismatchError):
         solve_many(fct, np.ones((4, 2)))
+
+
+def _record_groups(monkeypatch):
+    """Record the number of right-hand sides of each group that is solved."""
+    sizes = []
+    solve_group = solver._solve
+
+    def recorded(fct, rhs, *args, **kwargs):
+        if not kwargs.get("quiet"):  # not the re-entry under np.errstate
+            sizes.append(rhs.shape[0])
+        return solve_group(fct, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_solve", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SystemSpec(64, 5.0, 2.0),
+        SystemSpec(61, -2.05, 1.0),
+        SystemSpec(64, 1.3, 1.0, strict=False),
+        SystemSpec(37, -0.4, 2.0, strict=False),
+    ],
+    ids=["strict", "strict-negative", "permissive", "permissive-negative"],
+)
+@pytest.mark.parametrize("k", [4, 7])
+def test_grouped_block_matches_columns(monkeypatch, spec, circulant, k):
+    # A budget of 40 entries copies the block in row tiles of 40 // k rows
+    # and solves it in groups of two or three columns.
+    fct = _factorize(spec, circulant)
+    block = np.random.default_rng(k).standard_normal((spec.n, k))
+    whole = solve_many(fct, block)
+    monkeypatch.setattr(solver, "_GROUP_ENTRIES", 40)
+    sizes = _record_groups(monkeypatch)
+    got = solve_many(fct, block)
+    assert sum(sizes) == k and len(sizes) > 1 and min(sizes) >= 2
+    assert got.tobytes() == whole.tobytes()
+    for j in range(k):
+        assert got[:, j].tobytes() == solve(fct, block[:, j]).tobytes()
+
+
+def test_grouped_block_names_a_non_finite_column_before_any_pass(monkeypatch):
+    fct = decompose(SystemSpec(32, 5.0, 2.0))
+    block = np.ones((32, 6))
+    block[20, 4] = np.inf
+    monkeypatch.setattr(solver, "_GROUP_ENTRIES", 40)
+    sizes = _record_groups(monkeypatch)
+    with pytest.raises(
+        GrowthOverflowError,
+        match=r"^right-hand side column 5: right-hand side entry 21 is not finite \(inf\)$",
+    ):
+        solve_many(fct, block)
+    assert sizes == []
+
+
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+def test_grouped_block_overflow_in_a_later_group(monkeypatch, circulant):
+    # x is about b / 4.5e-300: in range for b = 1, beyond it for b = 1e300,
+    # which only the last of three groups holds.  That group raises the
+    # message of the whole block, with no numpy warning ahead of it.
+    spec = SystemSpec(64, 2.5e-300, 1e-300)
+    fct = _factorize(spec, circulant)
+    block = np.ones((64, 6))
+    block[:, 5] = 1e300
+    with pytest.raises(GrowthOverflowError) as whole:
+        solve_many(fct, block)
+    monkeypatch.setattr(solver, "_GROUP_ENTRIES", 40)
+    sizes = _record_groups(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GrowthOverflowError) as grouped:
+            solve_many(fct, block)
+    assert sizes == [2, 2, 2]
+    assert str(grouped.value) == str(whole.value)
+    assert str(grouped.value) == "back substitution left the 64-bit range"
+
+
+def test_grouped_block_counts_like_one_block(monkeypatch):
+    fct = decompose(SystemSpec(64, 5.0, 2.0))
+    block = np.ones((64, 7))
+    with count_operations() as whole:
+        solve_many(fct, block)
+    monkeypatch.setattr(solver, "_GROUP_ENTRIES", 40)
+    with count_operations() as grouped:
+        solve_many(fct, block)
+    assert grouped.total == whole.total > 0
+
+
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+def test_solve_many_holds_no_iterator_buffer(circulant):
+    # The padded (k, n + 1) buffer is the only block-sized allocation: no
+    # pass makes numpy buffer f, the exponents or the block itself.  The
+    # pad keeps the rows from merging; the passes that broadcast nothing run
+    # on the whole padded buffer.  At (65536, 4) the block is copied in row
+    # tiles and solved in two groups of two columns.
+    for n, k, d, bound in (
+        (512, 3, 4.0, 3 * 513 + 512),
+        (4096, 16, 2.0001, 1.02 * 16 * 4097),
+        (65536, 4, 2.0001, 1.02 * 4 * 65537),
+    ):
+        spec = SystemSpec(n, d, 1.0)
+        fct = _factorize(spec, circulant)
+        block = np.random.default_rng(n).standard_normal((n, k))
+        assert peak_doubles(solve_many, fct, block) <= bound, (n, k)
 
 
 def test_rejects_non_finite_rhs():
@@ -319,8 +429,6 @@ def _max_safe_n(d):
         return err.max_safe_n
     raise AssertionError(f"the recurrence does not overflow at d = {d}")
 
-
-VARIANT_IDS = ["circulant", "tridiagonal"]
 
 
 @pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
