@@ -31,16 +31,18 @@ A block is first copied into the rows of a zero-padded (k, n + 1) buffer,
 which the passes then transform into the result; its (k, n) view, taken
 without the pad column, is the result.  The pad keeps numpy from merging
 the two axes of the view, so a pass that broadcasts f or the (k, 1)
-exponents along the rows needs no iterator buffer, whatever k and n.  The
-three passes that broadcast nothing (the scalar multiply by 4**s over the
-mantissa, the tridiagonal 0 - y_k and the final finiteness check) run on
-the whole padded buffer, which is contiguous and needs none either; its pad
-stays a signed zero.  Each column's exponent e is read from the contiguous
+exponents along the rows needs no iterator buffer.  The three passes that
+broadcast nothing (the scalar multiply by 4**s over the mantissa, the
+tridiagonal 0 - y_k and the final finiteness check) run on the whole
+padded buffer, which is contiguous and needs none either; its pad stays a
+signed zero.  A small block, and one of four or more short rows, for which
+numpy would fill iterator buffers on the padded view as well, gets no pad:
+its contiguous (k, n) buffer is the view (see ``_PAD_ENTRIES`` and
+``_SHORT_ROW``).  Each column's exponent e is read from the contiguous
 rows of the copy, so non-finite entries are looked for after the copy,
-before any pass runs.  A block of more than ``_GROUP_ENTRIES`` entries is
-copied in row tiles and solved in groups of at least two whole columns,
-each group a block of its own; columns never interact, so the bytes are
-the same.
+before any pass runs.  A block of more than ``_TILE_ENTRIES`` entries is
+copied in row tiles of at most that many entries, so that both sides of
+each tile stay in cache during the transposing copy.
 """
 
 import math
@@ -61,10 +63,18 @@ from .factors import (
 
 __all__ = ["count_operations", "solve", "solve_many"]
 
-# Entries of a block solved at once (1 MiB of doubles), so that the passes
-# over it stay in a 2 MiB private L2.  A larger block is copied in row tiles
-# of at most this many entries and solved in groups of whole columns.
-_GROUP_ENTRIES = 2**17
+# Entries of a row tile (1 MiB of doubles) in which a block larger than
+# this is copied into its buffer.
+_TILE_ENTRIES = 2**17
+
+# A block of up to this many entries is solved without a pad column: the
+# iterator buffers numpy fills for it take at most 8 KiB, and cost less time
+# than the padded view's per-row calls.
+_PAD_ENTRIES = 2**10
+# Nor is a block of four or more rows of up to this many entries, a quarter
+# of numpy's default buffer: numpy would buffer all three operands of each
+# pass over its padded view, where on a contiguous block it buffers only f.
+_SHORT_ROW = 2048
 
 
 def _not_finite(b, where=""):
@@ -74,15 +84,15 @@ def _not_finite(b, where=""):
     )
 
 
-def _solve(fct, rhs, e, top, padded=None, quiet=False):
-    """x for one right-hand side ``rhs`` of shape (n,), or a block in place.
+def _solve(fct, b, e, top, quiet=False):
+    """x for one right-hand side ``b`` of shape (n,), or a block in place.
 
-    A block ``rhs`` is the (k, n) view of ``padded``, a (k, n + 1) buffer
-    whose rows are the right-hand sides, each followed by a zero pad entry.
-    ``e`` holds each right-hand side's power-of-two exponent (an int, or a
-    (k, 1) array) and ``top`` the largest of them.  The passes run on
-    b / 2**(e + s), and one exact rescale at the end restores 2**e, 2**s
-    and the exponent of a.
+    A block ``b`` is a (k, n) buffer, or a (k, n + 1) one whose last column
+    is zero, whose rows are the right-hand sides; its (k, n) view is solved
+    in place and returned.  ``e`` holds each right-hand side's power-of-two
+    exponent (an int, or a (k, 1) array) and ``top`` the largest of them.
+    The passes run on b / 2**(e + s), and one exact rescale at the end
+    restores 2**e, 2**s and the exponent of a.
     """
     n = fct.spec.n
     f = fct.f
@@ -95,13 +105,15 @@ def _solve(fct, rhs, e, top, padded=None, quiet=False):
     # and choosing a contextlib.nullcontext instead 0.2-0.4 us.
     if not (quiet or fct._unit_pivots and top <= s + exponent):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _solve(fct, rhs, e, top, padded, quiet=True)
-    # The passes that broadcast nothing run on the whole padded buffer; the
-    # others on the (k, n) view (see the module docstring).
-    many = padded is not None
-    out = np.ldexp(rhs, -s - e, rhs if many else None)
-    if not many:
-        padded = out
+            return _solve(fct, b, e, top, quiet=True)
+    # The passes that broadcast nothing run on the whole buffer, pad
+    # included; the others on the (k, n) view (see the module docstring).
+    many = b.ndim == 2
+    if many:
+        whole, out = b, b[:, :n]
+        np.ldexp(out, -s - e, out)
+    else:
+        out = whole = np.ldexp(b, -s - e)
     circulant = fct.variant == CIRCULANT
     _k_pass(fct, out)
     if circulant:
@@ -118,9 +130,9 @@ def _solve(fct, rhs, e, top, padded=None, quiet=False):
         np.subtract(x_n, body.T, body.T)  # x_n broadcasts along the k axis
     else:  # no row carries an x_n term: 0 - y_k
         m, body = n, out
-        np.subtract(0.0, padded, padded)
+        np.subtract(0.0, whole, whole)
     np.divide(body, f[1 : m + 1], body)
-    np.multiply(padded, math.ldexp(1.0 / mantissa, 2 * s), padded)
+    np.multiply(whole, math.ldexp(1.0 / mantissa, 2 * s), whole)
     np.divide(body, f[2 : m + 2], body)
     if circulant:  # scale x_n / (2**s f_n), the last u
         if many:
@@ -132,7 +144,7 @@ def _solve(fct, rhs, e, top, padded=None, quiet=False):
     np.multiply(out, f[1 : n + 1], out)
     _tally(out)
     np.ldexp(out, e - (s + exponent), out)  # e may be a (k, 1) array
-    _require_finite(padded, "back substitution left the 64-bit range")
+    _require_finite(whole, "back substitution left the 64-bit range")
     return out
 
 
@@ -155,16 +167,17 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
     """Solve one factorization against every column of ``block`` in O(n k).
 
     Returns an (n, k) array, empty for k = 0: the transposed (k, n) view of
-    a zero-padded (k, n + 1) buffer, into whose rows the columns are copied.
-    That buffer is the only block-sized allocation.  All columns of a block
-    of up to 2**17 entries run through the same vectorized passes at once;
-    a larger block is copied in row tiles and solved in groups of whole
-    columns of about that size.  Up to n = 8193, column j of the result is
-    bit-identical to ``solve(fct, block[:, j])``; past that, the circulant
-    R pass of two or more columns may round its closure sum differently
-    from a single vector's.  ``block`` is never written to.  Non-finite
-    entries are looked for in the copy, before any pass runs, and the
-    error names the first column holding one.
+    one buffer into whose rows the columns are copied, with a zero pad
+    column where that spares numpy's iterator buffers.  That buffer is the
+    only block-sized array the solver allocates, and all columns run
+    through the same vectorized passes at once.  Column j of the result is
+    bit-identical to ``solve(fct, block[:, j])``, except that the circulant
+    R pass may round its closure sum differently once that sum is longer
+    than the chunks numpy's einsum sums the rows of a block in (8192 terms
+    on numpy 2.4, whatever ``np.setbufsize`` says); a single vector's is
+    summed in one run.  ``block`` is never written to.  Non-finite entries
+    are looked for in the copy, before any pass runs, and the error names
+    the first column holding one.
     """
     block = np.asarray(block, dtype=float)
     n = fct.spec.n
@@ -173,21 +186,23 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
             f"right-hand side block must have shape ({n}, k), got {block.shape}"
         )
     k = block.shape[1]
-    padded = np.zeros((k, n + 1))
-    out = padded[:, :n]
-    grouped = k * n > _GROUP_ENTRIES
-    if grouped:
-        # A transposing copy in row tiles of at most _GROUP_ENTRIES entries
+    pad = k * n > _PAD_ENTRIES and (k < 4 or n > _SHORT_ROW)
+    buf = np.empty((k, n + 1 if pad else n))
+    if pad:
+        buf[:, n] = 0.0  # the copy below writes every other entry
+    out = buf[:, :n]
+    if k * n > _TILE_ENTRIES:
+        # A transposing copy in row tiles of at most _TILE_ENTRIES entries
         # keeps both sides of each tile in cache.
-        rows = max(1, _GROUP_ENTRIES // k)
+        rows = max(1, _TILE_ENTRIES // k)
         for i in range(0, n, rows):
             out.T[i : i + rows] = block[i : i + rows]
     else:
         out.T[...] = block
-    # The peaks are read from the contiguous rows of the padded copy, not
+    # The peaks are read from the contiguous rows of the copy, not
     # from the strided block; a zero pad leaves max(max, -min) unchanged.
     peak = np.maximum(
-        np.maximum.reduce(padded, axis=1), -np.minimum.reduce(padded, axis=1)
+        np.maximum.reduce(buf, axis=1), -np.minimum.reduce(buf, axis=1)
     )
     # NaN and infinity propagate into top; only then look column by column.
     top = float(peak.max(initial=0.0))
@@ -195,19 +210,4 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
         j = int(np.argmin(np.isfinite(peak)))
         raise _not_finite(out[j], f"right-hand side column {j + 1}: ")
     e = np.frexp(peak)[1][:, None]
-    top = math.frexp(top)[1]  # the largest exponent
-    if grouped:
-        # Columns never interact, so a block too large for a private L2 is
-        # solved in groups of whole columns, each within the budget where
-        # it can be.  No group holds a single column of a wider block: over
-        # more than 8192 terms numpy's einsum sums the rows of a block in
-        # chunks and a single row in one run, so the R pass would change
-        # that column's bytes.
-        cols = max(1, _GROUP_ENTRIES // n)
-        count = min(-(-k // cols), max(1, k // 2))  # ceil(k / cols), or fewer
-        bounds = [j * k // count for j in range(count + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            _solve(fct, out[lo:hi], e[lo:hi], top, padded[lo:hi])
-    else:
-        _solve(fct, out, e, top, padded)
-    return out.T
+    return _solve(fct, buf, e, math.frexp(top)[1]).T
