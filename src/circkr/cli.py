@@ -295,7 +295,7 @@ def cmd_bench(ns):
     medians = [max(statistics.median(samples), 1e-9) for samples in times]
     for n, factor, median in zip(ns.sizes, factor_s, medians):
         lines.append(f"{n:>8d} {factor:>12.6f} {median:>12.6f} {median / n * 1e9:>16.1f}")
-    if len(ns.sizes) > 1:
+    if len(set(ns.sizes)) > 1:  # a slope needs two distinct orders
         slope = float(np.polyfit(np.log(ns.sizes), np.log(medians), 1)[0])
         lines.append(f"log-log slope (solve time vs n) = {slope:.3f}")
     _emit(ns, lines)

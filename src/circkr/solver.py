@@ -2,8 +2,8 @@
 
 A x = b with A = a K^-1 R^-1 A1^T is solved by a fixed sequence of
 vectorized passes over one output buffer, for one right-hand side or a
-block of k of them (held as the rows of a (k, n) view of a (k, n + 1)
-buffer):
+block of k of them (held as the rows of a (k, n) buffer, or of the (k, n)
+view of a zero-padded (k, n + 1) one):
 
     b / 2**(e + s)            exact rescale; b / 2**e lies in [-1, 1)
     y = K (b / 2**(e + s))    ``_k_pass``: one prefix sum of f_i b_i
@@ -174,10 +174,10 @@ def solve_many(fct: Factorization, block) -> np.ndarray:
     bit-identical to ``solve(fct, block[:, j])``, except that the circulant
     R pass may round its closure sum differently once that sum is longer
     than the chunks numpy's einsum sums the rows of a block in (8192 terms
-    on numpy 2.4, whatever ``np.setbufsize`` says); a single vector's is
-    summed in one run.  ``block`` is never written to.  Non-finite entries
-    are looked for in the copy, before any pass runs, and the error names
-    the first column holding one.
+    on numpy 2.4, whatever ``np.setbufsize`` says); a single vector's, and
+    a one-column block's, is always summed in one run.  ``block`` is never
+    written to.  Non-finite entries are looked for in the copy, before any
+    pass runs, and the error names the first column holding one.
     """
     block = np.asarray(block, dtype=float)
     n = fct.spec.n

@@ -32,6 +32,9 @@ from circkr.factors import FACTOR_NAMES
 from grids import peak_doubles
 
 FIXTURE = ["--n", "5", "--c", "5", "--a", "2"]
+# Every child interpreter turns numpy's warnings into errors, as the suite
+# does in-process: a warning ahead of an ERROR line would exit 1 instead.
+PYTHON = [sys.executable, "-W", "error::RuntimeWarning"]
 
 
 def run_cli(*argv):
@@ -44,7 +47,7 @@ def module_run(args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "circkr", *args],
+        [*PYTHON, "-m", "circkr", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -423,7 +426,8 @@ class TestCheckCommand:
         # One block of 2**14 entries and numpy's copy of it in the K^-1
         # first difference; the spectral solve and first row hold O(n).
         argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1")
-        run_cli(*argv)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict: all residuals within 1e-08"
         assert peak_doubles(run_cli, *argv) <= 2 * factors._BLOCK_ENTRIES + 16 * n
 
     @pytest.mark.parametrize("n", [256, 2000])
@@ -432,7 +436,8 @@ class TestCheckCommand:
         # its diagonal block take less than the reconstruction's block and
         # copy; the DST-I solve holds O(n).
         argv = ("check", "--n", str(n), "--c", "2.01", "--a", "1", "--variant", "tridiagonal")
-        run_cli(*argv)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict: all residuals within 1e-08"
         assert peak_doubles(run_cli, *argv) <= 2 * factors._BLOCK_ENTRIES + 16 * n
 
     @pytest.mark.parametrize("variant", ["circulant", "tridiagonal"])
@@ -494,6 +499,7 @@ class TestNoFloatWarnings:
             ("solve", 6, 1e-310, "circulant"),
             ("invert", 5, 1e-310, "tridiagonal"),
             ("decompose", 5, 1e-310, "circulant"),
+            ("decompose", 5, -1e-310, "circulant"),  # a value, not a flag
         ],
     )
     def test_tiny_permissive_pivot_overflows(self, capsys, monkeypatch, tmp_path,
@@ -526,6 +532,21 @@ class TestBenchCommand:
         assert run_cli("bench", "--sizes", "512", "--reps", "1") == 0
         out = capsys.readouterr().out
         assert "log-log slope" not in out
+
+    def test_repeated_order_skips_slope(self, capsys):
+        # One distinct order gives no slope, however often it is listed.
+        argv = ["bench", "--sizes", "256,256", "--reps", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert "log-log slope" not in out.out
+        proc = module_run(argv)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 4
+        assert "log-log slope" not in proc.stdout
 
     def test_bad_sizes(self, capsys):
         assert run_cli("bench", "--sizes", "a,b") == 2
@@ -632,6 +653,13 @@ class TestProcessLevel:
         assert proc.stderr.splitlines()[0].startswith("ERROR Overflow:")
         assert proc.stdout == ""
 
+    def test_order_past_the_overflow_index_exit_status(self):
+        # Found from the growth rate, without allocating the order's f.
+        proc = module_run(["decompose", "--n", "1000000000000", "--c", "2.5", "--a", "1"])
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines()[0].startswith("ERROR Overflow:")
+        assert proc.stdout == ""
+
     def test_invalid_spec_exit_status(self):
         proc = module_run(["decompose", "--n", "4", "--c", "4", "--a", "2"])
         assert proc.returncode == 2
@@ -688,7 +716,7 @@ class TestProcessLevel:
         )
         env = dict(os.environ, CIRCKR_STRICT="0")
         proc = subprocess.run(
-            [sys.executable, "-c", child, "decompose", "--n", "1000000000000", "--c", "1.5",
+            [*PYTHON, "-c", child, "decompose", "--n", "1000000000000", "--c", "1.5",
              "--a", "1"],
             capture_output=True, text=True, env=env, timeout=120,
         )
@@ -702,7 +730,7 @@ class TestProcessLevel:
     def test_reader_closing_stdout_early(self):
         # ``| head -c 20``: the rest of the payload is dropped quietly.
         proc = subprocess.Popen(
-            [sys.executable, "-m", "circkr", "invert", "--n", "1000", "--c", "2.05", "--a", "1"],
+            [*PYTHON, "-m", "circkr", "invert", "--n", "1000", "--c", "2.05", "--a", "1"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

@@ -24,6 +24,7 @@ from circkr import (
     growth_ratio,
     solve,
     solve_many,
+    spectral_solve,
 )
 from circkr import solver
 from circkr.factors import apply_k, apply_r
@@ -266,6 +267,29 @@ def test_solve_many_keeps_four_short_rows_unpadded():
     assert peak_doubles(solve_many, fct, block) <= 2.1 * 4 * 2048
 
 
+@NUMPY_2_4
+@pytest.mark.parametrize("n, d", [(20000, -0.3), (40000, 1.999)])
+def test_solve_many_one_column_matches_solve_at_any_order(n, d):
+    # circkr solve's path for a one-column file.  A permissive ratio keeps
+    # every closure term, so a sum taken in chunks would round differently.
+    fct = decompose(SystemSpec(n, d, 1.0, strict=False))
+    b = np.random.default_rng(n).standard_normal(n)
+    assert solve_many(fct, b[:, None])[:, 0].tobytes() == solve(fct, b).tobytes()
+
+
+@NUMPY_2_4
+@pytest.mark.parametrize("k", [2, 5])
+def test_solve_many_columns_match_solve_at_one_einsum_chunk(k):
+    # n = 8193 has 8192 closure terms, the most that numpy 2.4's einsum sums
+    # in one run for each row of a block; at 8194 the columns differ.
+    n = 8193
+    fct = decompose(SystemSpec(n, -0.3, 1.0, strict=False))
+    block = np.random.default_rng(k).standard_normal((n, k))
+    got = solve_many(fct, block)
+    for j in range(k):
+        assert got[:, j].tobytes() == solve(fct, block[:, j]).tobytes(), j
+
+
 def test_rejects_non_finite_rhs():
     fct = decompose(SystemSpec(5, 5.0, 2.0))
     bad = np.ones(5)
@@ -431,6 +455,36 @@ def test_tiny_permissive_pivot_raises_without_warning(circulant, many, hand_buil
             solve_many(fct, b)
         else:
             solve(fct, b[:, 0])
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 3: a permissive solve divides by its tiny pivots; "
+    "the pivot-free solve is to bring it within 64 kappa eps",
+)
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+@pytest.mark.parametrize(
+    "n, c",
+    [
+        (23, -2.0 * math.cos(math.pi / 7 + 1e-13)),
+        (23, -2.0 * math.cos(math.pi / 7 + 1e-9)),
+        (6, 1e-20),
+    ],
+    ids=["pi/7+1e-13", "pi/7+1e-9", "c=1e-20"],
+)
+def test_permissive_solve_is_as_accurate_as_the_condition_allows(n, c, circulant):
+    # Well-conditioned systems (kappa 2 to 83) with a pivot f_i near zero:
+    # the pivoted kernel's error is 1e-9 to 1e4, against bounds near 1e-12.
+    spec = SystemSpec(n, c, 1.0, strict=False)
+    variant = "circulant" if circulant else "tridiagonal"
+    lam = np.abs(np.linalg.eigvalsh(build_dense(spec, variant)))
+    kappa = lam.max() / lam.min()
+    b = np.random.default_rng(0).standard_normal(n)
+    expected = spectral_solve(spec, b, variant)
+    x = solve(_factorize(spec, circulant), b)
+    error = np.abs(x - expected).max() / np.abs(expected).max()
+    assert error <= 64 * kappa * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
