@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -18,9 +19,10 @@ from circkr import (
     reconstruct,
     solve,
 )
-from circkr import factors
+from circkr import cli, factors
 from circkr.cli import (
     _build_parser,
+    _circulant_rows,
     _identity_residual,
     _reconstruction_gap,
     _relative_gap,
@@ -336,6 +338,179 @@ class TestInvertCommand:
         assert capsys.readouterr().out == first
 
 
+def _text(chunks):
+    # The bytes the CLI writes for a payload's chunks: each and a newline.
+    return "".join(chunk + "\n" for chunk in chunks)
+
+
+class TestCirculantInverseText:
+    """The circulant inverse is printed from its palindromic first row, byte
+    for byte what ``_rows`` prints for the library's arrays."""
+
+    ORDERS = (3, 4, 5, 6, 7, 64, 65, 1000, 1001, 4097)
+    SCALES = (1.3, -1.3, 1e-200, 3e300)
+    # (normalized ratio, CIRCKR_STRICT): strictly dominant, and |d| < 2 checked permissively.
+    RATIOS = ((2.0001, "1"), (-1.5, "0"))
+    # From this order on, the dense text is too long to format value by
+    # value, and sampled rows are compared.
+    SAMPLED = 1000
+
+    @staticmethod
+    def _system(n, a, ratio, monkeypatch):
+        d, strict = ratio
+        monkeypatch.setenv("CIRCKR_STRICT", strict)
+        spec = SystemSpec(n, d * a, a, strict=strict == "1")
+        return decompose(spec), ["--n", str(n), f"--c={spec.c!r}", f"--a={spec.a!r}"]
+
+    @staticmethod
+    def _stdout_and_file(capsys, tmp_path, *argv):
+        assert run_cli(*argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / "inverse.txt"
+        assert run_cli(*argv, "--out", str(target)) == 0
+        assert capsys.readouterr().out == ""
+        return stdout, target.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("a", SCALES)
+    @pytest.mark.parametrize("precision", [0, 1, 6, 17])
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_first_row(self, capsys, tmp_path, monkeypatch, n, precision, a, ratio):
+        fct, system = self._system(n, a, ratio, monkeypatch)
+        argv = ("invert", *system, "--precision", str(precision), "--mode", "first-row")
+        expected = _text(_rows(inverse_first_row(fct)[None], precision, ", "))
+        assert self._stdout_and_file(capsys, tmp_path, *argv) == (expected, expected)
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("a", SCALES)
+    @pytest.mark.parametrize("precision", [0, 1, 6, 17])
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_dense(self, capsys, tmp_path, monkeypatch, n, precision, a, ratio):
+        fct, system = self._system(n, a, ratio, monkeypatch)
+        argv = ("invert", *system, "--precision", str(precision))
+        inverse = inverse_dense(fct)
+        if n < self.SAMPLED:
+            expected = _text(_rows(inverse, precision, ", "))
+            assert self._stdout_and_file(capsys, tmp_path, *argv) == (expected, expected)
+            return
+        if n < 4096:
+            rows = (0, 1, 2, 3, 4, 5, n // 2, n - 2, n - 1)
+            stdout, text = self._stdout_and_file(capsys, tmp_path, *argv)
+            assert stdout == text
+            lines = text.splitlines()
+            assert len(lines) == n
+            got = [lines[i] for i in rows]
+        else:
+            # The writer alone: only its first chunks, one row each, are made.
+            rows = range(3)
+            chunks = _circulant_rows(inverse_first_row(fct), n, precision)
+            got = list(itertools.islice(chunks, len(rows)))
+        assert got == _text(_rows(inverse[list(rows)], precision, ", ")).splitlines()
+
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("mode", ["dense", "first-row"])
+    def test_negative_zero_entries(self, capsys, tmp_path, monkeypatch, n, mode):
+        # d = 10 at a = 3e300: the far entries underflow, some of them to
+        # -0.0, which prints as 0.
+        fct, system = self._system(n, 3e300, (10.0, "1"), monkeypatch)
+        v = inverse_first_row(fct)
+        assert (np.signbit(v) & (v == 0.0)).any()
+        expected = _text(_rows(inverse_dense(fct) if mode == "dense" else v[None], 17, ", "))
+        assert "-0" not in expected.replace("\n", ", ").split(", ")
+        argv = ("invert", *system, "--precision", "17", "--mode", mode)
+        assert self._stdout_and_file(capsys, tmp_path, *argv) == (expected, expected)
+
+    def test_dense_holds_no_dense_array(self, tmp_path):
+        # The tokens of one row and one chunk of two rows of text with the
+        # writer's copies of it, about 0.46 MB, where the n x n inverse
+        # alone is 32 MB.  An untraced run first keeps the lazy imports and
+        # the parser out of the peak.
+        target = tmp_path / "inverse.txt"
+        argv = ("invert", "--n", "2000", "--c", "2.05", "--a", "1", "--precision", "17",
+                "--out", str(target))
+        assert run_cli(*argv) == 0
+        assert 8 * peak_doubles(run_cli, *argv) <= 2**20
+
+    @pytest.mark.parametrize(
+        "argv, code, kind",
+        [
+            (["--n", "10001", "--c", "2.0001", "--a", "1"], 6, "SizeGuard"),
+            # The dense cap is checked before the range of the first row.
+            (["--n", "10001", "--c", "2.0001e-310", "--a", "1e-310"], 6, "SizeGuard"),
+            (["--n", "64", "--c", "2.5e-310", "--a", "1e-310"], 3, "Overflow"),
+            (["--n", "64", "--c", "2.5e-310", "--a", "1e-310", "--mode", "first-row"], 3,
+             "Overflow"),
+            (["--n", "5", "--c", "5", "--a", "2", "--variant", "tridiagonal", "--mode",
+              "first-row"], 2, "VariantMismatch"),
+        ],
+    )
+    def test_errors_come_before_the_first_byte(self, capsys, tmp_path, argv, code, kind):
+        assert run_cli("invert", *argv) == code
+        out = capsys.readouterr()
+        assert out.err.splitlines()[0].startswith(f"ERROR {kind}:")
+        assert out.out == ""
+        target = tmp_path / "inverse.txt"
+        target.write_text("previous contents\n")
+        assert run_cli("invert", *argv, "--out", str(target)) == code
+        assert target.read_text() == "previous contents\n"
+
+
+class TestFailureAfterTheFirstChunk:
+    """A command that fails once part of its payload is written leaves an
+    ``--out`` regular file empty; stdout and other files keep that part."""
+
+    DECOMPOSE = ("decompose", "--n", "6", "--c", "2.5", "--a", "1", "--dense")
+
+    @pytest.fixture
+    def a1_fails(self, monkeypatch):
+        # The report, the first four factors and A1's heading come first.
+        materialize = cli.materialize
+
+        def failing(fct, name):
+            if name == "A1":
+                raise MemoryError
+            return materialize(fct, name)
+
+        monkeypatch.setattr(cli, "materialize", failing)
+
+    def test_decompose_dense_out_file(self, capsys, tmp_path, a1_fails):
+        target = tmp_path / "report.txt"
+        target.write_text("previous contents\n")
+        assert run_cli(*self.DECOMPOSE, "--out", str(target)) == 6
+        assert capsys.readouterr().err.startswith("ERROR SizeGuard:")
+        assert target.read_text() == ""
+
+    def test_decompose_dense_stdout(self, capsys, a1_fails):
+        assert run_cli(*self.DECOMPOSE) == 6
+        out = capsys.readouterr().out
+        assert out.startswith("order n = 6\n")
+        assert "\nR_inv =\n" in out and out.endswith("\nA1 =\n")
+
+    def test_non_regular_out_file_is_left_alone(self, capsys, monkeypatch, a1_fails):
+        truncated = []
+        monkeypatch.setattr(cli.os, "truncate", lambda *args: truncated.append(args))
+        assert run_cli(*self.DECOMPOSE, "--out", os.devnull) == 6
+        assert capsys.readouterr().err.startswith("ERROR SizeGuard:")
+        assert truncated == []
+
+    def test_invert_out_file(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "inverse.txt"
+        circulant_rows = cli._circulant_rows
+
+        def failing(*args):
+            chunks = circulant_rows(*args)
+            yield next(chunks)
+            yield next(chunks)
+            assert target.stat().st_size > 0  # part of the payload is on disk
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_circulant_rows", failing)
+        argv = ("invert", "--n", "1000", "--c", "2.05", "--a", "1", "--precision", "17")
+        assert run_cli(*argv, "--out", str(target)) == 6
+        assert capsys.readouterr().err.startswith("ERROR SizeGuard:")
+        assert target.read_text() == ""
+
+
 def whole_inverse_identity_residual(fct):
     """check's tridiagonal identity residual on the whole inverse at once:
     the reference the blocked residual must reproduce bit for bit."""
@@ -624,6 +799,8 @@ class TestParsing:
         assert list(_rows(np.array([[-0.0]]), 6, " ")) == ["0"]
         assert list(_rows(np.array([[0.0]]), 6, " ")) == ["0"]
         assert list(_rows(np.array([[-1.5]]), 3, " ")) == ["-1.5"]
+        v = np.array([-0.0, -1.5, -1.5])
+        assert list(_circulant_rows(v, 3, 3)) == ["0, -1.5, -1.5\n-1.5, 0, -1.5\n-1.5, -1.5, 0"]
 
     @pytest.mark.parametrize("command", ["solve", "invert"])
     def test_negative_precision_is_a_usage_error(self, capsys, tmp_path, command):
