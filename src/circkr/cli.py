@@ -27,7 +27,9 @@ from its palindromic first row by ``_circulant_rows``: its n // 2 + 1
 distinct values are formatted once, and every row is those strings
 rotated: the same bytes with no n x n array (the dense n = 2048 inverse
 at 17 digits into a file peaks at 0.46 MB traced, where the array alone
-is 32 MB).  The parser checks every numeric flag: ``--precision`` >= 0,
+is 32 MB).  The tridiagonal inverse is printed by ``_tridiagonal_text``,
+one block of rows of ``inverse_dense``'s own writer at a time, with no
+n x n array either.  The parser checks every numeric flag: ``--precision`` >= 0,
 ``--reps`` >= 1, and ``--sizes`` a comma-separated list of at least one
 integer.  The parser is built once per process, on the first call of
 ``main``, and reused by every later call: each call parses into a fresh
@@ -51,7 +53,7 @@ import numpy as np
 from .decomposition import _reconstruct_rows, decompose, decompose_tridiagonal
 from .errors import CircKRError, SizeGuardError, UsageError
 from .factors import CIRCULANT, FACTOR_NAMES, _block_rows, _guard_dense, materialize
-from .inverse import _tridiagonal_rows, inverse_dense, inverse_first_row
+from .inverse import _tridiagonal_rows, inverse_first_row
 from .oracle import spectral_inverse_first_row, spectral_solve
 from .recurrence import SystemSpec
 from .solver import solve, solve_many
@@ -216,13 +218,31 @@ def cmd_invert(ns):
     spec, fct = _factorize(ns)
     if ns.mode == "first-row":  # VariantMismatch for the tridiagonal variant
         text = _circulant_rows(inverse_first_row(fct), 1, ns.precision)
-    elif fct.variant == CIRCULANT:
-        _guard_dense(spec.n)  # SizeGuard before Overflow, as in inverse_dense
-        text = _circulant_rows(inverse_first_row(fct), spec.n, ns.precision)
     else:
-        text = _rows(inverse_dense(fct), ns.precision, ", ")
+        _guard_dense(spec.n)  # SizeGuard before Overflow, as in inverse_dense
+        if fct.variant == CIRCULANT:
+            text = _circulant_rows(inverse_first_row(fct), spec.n, ns.precision)
+        else:
+            text = _tridiagonal_text(fct, ns.precision)
     _emit(ns, text)
     return 0
+
+
+def _tridiagonal_text(fct, precision):
+    """Text of the tridiagonal inverse, byte for byte ``_rows`` of
+    ``inverse_dense(fct)``, with no n x n array.
+
+    ``inverse_dense``'s own block writer fills one scratch block of rows at
+    a time and ``_rows`` prints it before the next is written.  The writer
+    is made here, so GrowthOverflowError comes before the first byte.
+    """
+    n = fct.spec.n
+    rows = _block_rows(n)
+    write = _tridiagonal_rows(fct, rows)
+    block = np.empty((rows, n))
+    return itertools.chain.from_iterable(
+        _rows(write(lo, block[: n - lo]), precision, ", ") for lo in range(0, n, rows)
+    )
 
 
 def _relative_gap(ours, reference):

@@ -7,23 +7,25 @@ tridiagonal suffix sums to sum_{k=m}^{n} 1/(f_k f_{k+1}) = f_{n+1-m} /
 (f_m f_{n+1}).  The inverse of a symmetric circulant matrix is again
 symmetric circulant, so the circulant variant's dense inverse is the
 cyclic expansion of that row.  The tridiagonal variant's inverse is the
-symmetric semiseparable matrix with entries -f_min(i,j) * G_max(i,j) / a,
-filled in blocks of rows small enough to stay in cache: each block takes
-its products from outer products and is divided by a before the next
-block is written.  Neither path runs a solve, a general matrix multiply
-or any n x n scratch array beyond the result.
+symmetric semiseparable matrix with entries -f_min(i,j) * G_max(i,j) / a.
+The scalar 1/a is folded once into a length-n factor, so each entry is
+one product of two length-n factors, written in blocks of rows by outer
+products with no pass over the result after it.  Neither path runs a
+solve, a general matrix multiply or any n x n scratch array beyond the
+result.
 
 Every row band of either dense inverse can be written on its own, so a
 fill of at least 2**21 entries (n >= 1449) is split into contiguous row
 bands, one per usable CPU: the caller writes the first band and a
 per-call thread pool, one thread per extra CPU, writes the others, while
-numpy's einsum, divide and copyto release the GIL.  Each entry is formed
+numpy's einsum and copyto release the GIL.  Each entry is formed
 by the same operations in either case, so the result is byte-identical to
 a serial fill.  Smaller fills stay on the calling thread, where a helper
 gains least and least reliably: after its CPU has idled between calls, a
 helper saved 0-16% of an n = 1024 fill, against 22-40% at n = 2048.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -86,17 +88,23 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
 
     Tridiagonal variant: writing G_m = f_m * sum_{k=m}^{n} 1/(f_k f_{k+1}),
     entry (i, j) is -f_min(i,j) * G_max(i,j) / a.  The sum telescopes, so
-    G_m = f_{n+1-m} / f_{n+1}, one division per entry.  GrowthOverflowError
-    is raised before the fill if the largest entry leaves the 64-bit range.
-    The result is filled in blocks of at most 64 rows and 2**16 entries
-    (512 KiB), each written by einsum outer products and divided by a
-    while it is still in cache; the CLI's ``check`` takes its identity
-    residual from the same block writer, one block at a time, with no
-    n x n array.  Multiplication commutes and einsum forms one product per
-    entry, so each entry is fl(fl(-f G) / a), byte for byte that of one
-    outer product, its lower triangle mirrored, then divided by a.  einsum adds each product to a zeroed output, which would
-    turn -0.0 into +0.0, but the pivots f_1 .. f_{n+1} are nonzero, so no
-    product is zero.
+    G_m = f_{n+1-m} / f_{n+1}.  The division by a is folded into G once:
+    entry (i, j), i <= j, is fl(F_i H_j) with F = -f 2**-q and
+    H_j = f_{n+1-j} / (a f_{n+1} 2**-q), where the exact power-of-two shift
+    q >= 0 keeps both factors in the normal range whenever the entries are
+    finite (without it H underflows for a large a).  That is two roundings
+    per entry beside the one of a f_{n+1} 2**-q, and no division per entry.
+    GrowthOverflowError is raised before the fill if the largest entry
+    leaves the 64-bit range, and the smallest entry is formed once under
+    the caller's ``np.errstate``, so ``np.errstate(under="raise")`` raises
+    in the caller before any row is written.  The result is filled in
+    blocks of 64 rows, each written by einsum outer products; the CLI's
+    ``check`` and ``invert`` take the inverse from the same block writer,
+    one block at a time, with no n x n array.  Multiplication commutes and
+    einsum forms one product per entry, so each entry is byte for byte
+    that of one outer product of F and H, its lower triangle mirrored.
+    einsum adds each product to a zeroed output, so an entry that
+    underflows to zero is +0.0 whatever the sign of its product.
 
     From n = 1449 (2**21 entries) on, contiguous row bands are filled at
     once, one per usable CPU (``os.sched_getaffinity``), the caller filling
@@ -117,9 +125,9 @@ def inverse_dense(fct: Factorization) -> np.ndarray:
         out = np.empty((n, n))
         _fill_in_bands(lambda lo, hi: np.copyto(out[lo:hi], window[lo:hi]), n, 1)
         return out
-    # 2**16 entries (512 KiB) stay in L2 from the fill to the division; at
-    # most 64 rows keep the diagonal block's scratch within 32 KiB.
-    step = min(n, 64, 2**16 // n)
+    # Each entry is written once, so a block need not stay in cache; 64 rows
+    # keep the diagonal block's scratch within 32 KiB.
+    step = 64
     write = _tridiagonal_rows(fct, step)
     out = np.empty((n, n))
 
@@ -136,33 +144,42 @@ def _tridiagonal_rows(fct, step):
     G_max(i,j) / a, each block at most ``step`` rows high.
 
     ``write(lo, out)`` fills ``out`` with rows lo .. lo + len(out) - 1 and
-    returns it; it may run on several threads at once.  GrowthOverflowError
-    is raised here, before any block is written, if the largest entry
-    leaves the 64-bit range.  Each block takes its products from einsum
-    outer products and is divided by a while it is still in cache.
+    returns it; it may run on several threads at once.  Entry (i, j),
+    i <= j, is the one product F_i H_j of two length-n factors,
+    F = -f 2**-q and H_j = f_{n+1-j} / (a f_{n+1} 2**-q): 1/a is applied
+    once, to H.  The exact shift q >= 0 keeps a f_{n+1} 2**-q below 2**1022,
+    so neither factor leaves the normal range while the entries are
+    finite.  Before any block is written, GrowthOverflowError is raised if
+    the largest entry leaves the 64-bit range, and the smallest entry is
+    formed under the caller's ``np.errstate``, so an underflow raises or
+    warns as the caller asked (einsum reports no floating-point status).
     """
     n, a = fct.spec.n, fct.spec.a
-    # A permissive f_{n+1} can be tiny and G overflow; the check raises
+    top = float(fct.f[n + 1])
+    q = max(0, math.frexp(top)[1] + math.frexp(a)[1] - 1021)
+    F = np.ldexp(-fct.f[1 : n + 1], -q)
+    # A permissive f_{n+1} can be tiny and H overflow; the check raises
     # GrowthOverflowError then, with no numpy warning ahead of it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = fct.f[n:0:-1] / fct.f[n + 1]
-        minus_f = -fct.f[1 : n + 1]
-        # Largest entry: |f_i| max_{j>=i} |G_j| / |a|.
-        peak = np.max(np.abs(minus_f) * np.maximum.accumulate(np.abs(G)[::-1])[::-1])
-        if not np.isfinite(peak / abs(a)):
-            raise GrowthOverflowError("the tridiagonal inverse leaves the 64-bit range")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        H = fct.f[n:0:-1] / (math.ldexp(top, -q) * a)
+        size_f, size_h = np.abs(F), np.abs(H)[::-1]
+        # Largest entry: |F_i| max_{j>=i} |H_j|.
+        peak = np.max(size_f * np.maximum.accumulate(size_h)[::-1])
+    if not np.isfinite(peak):
+        raise GrowthOverflowError("the tridiagonal inverse leaves the 64-bit range")
+    # Smallest entry: |F_i| min_{j>=i} |H_j|, its underflow under the caller's errstate.
+    np.multiply(size_f, np.minimum.accumulate(size_h)[::-1])
     strictly_lower = np.tri(step, step, -1, dtype=bool)
 
     def write(lo, out):
         hi = lo + len(out)
-        # Row i: -f_i G_j for j >= lo, then the mirrored -f_j G_i for j < lo ...
-        np.einsum("i,j->ij", minus_f[lo:hi], G[lo:], out=out[:, lo:])
-        np.einsum("i,j->ij", G[lo:hi], minus_f[:lo], out=out[:, :lo])
+        # Row i: F_i H_j for j >= lo, then the mirrored F_j H_i for j < lo ...
+        np.einsum("i,j->ij", F[lo:hi], H[lo:], out=out[:, lo:])
+        np.einsum("i,j->ij", H[lo:hi], F[:lo], out=out[:, :lo])
         # ... and for lo <= j < i, inside the diagonal block.
         b = hi - lo
-        mirrored = np.einsum("i,j->ij", G[lo:hi], minus_f[lo:hi])
+        mirrored = np.einsum("i,j->ij", H[lo:hi], F[lo:hi])
         np.copyto(out[:, lo:hi], mirrored, where=strictly_lower[:b, :b])
-        np.divide(out, a, out)
         return out
 
     return write

@@ -455,6 +455,66 @@ class TestCirculantInverseText:
         assert target.read_text() == "previous contents\n"
 
 
+class TestTridiagonalInverseText:
+    """The tridiagonal inverse is printed one block of rows at a time from
+    ``inverse_dense``'s own writer, byte for byte what ``_rows`` prints for
+    the library's array."""
+
+    SCALES = (1.3, -0.7, 1e-200, 3e300)
+    # (normalized ratio, CIRCKR_STRICT): strictly dominant, and |d| < 2 checked permissively.
+    RATIOS = ((2.0001, "1"), (-2.05, "1"), (1.3, "0"), (-0.7, "0"))
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("precision", [0, 17])
+    @pytest.mark.parametrize("budget", [7, factors._BLOCK_ENTRIES])
+    @pytest.mark.parametrize("n", [3, 4, 5, 16, 129])
+    def test_dense(self, capsys, tmp_path, monkeypatch, n, budget, precision, ratio):
+        # Blocks of budget // n rows, at least one: with 2**14 entries one
+        # block up to n = 128 and a partial last one at 129; with 7,
+        # one or two rows a block, a partial last one at n = 3 and 5.
+        d, strict = ratio
+        monkeypatch.setenv("CIRCKR_STRICT", strict)
+        monkeypatch.setattr(factors, "_BLOCK_ENTRIES", budget)
+        for a in self.SCALES:
+            spec = SystemSpec(n, d * a, a, strict=strict == "1")
+            expected = _text(_rows(inverse_dense(decompose_tridiagonal(spec)), precision, ", "))
+            argv = ("invert", "--n", str(n), f"--c={spec.c!r}", f"--a={spec.a!r}",
+                    "--variant", "tridiagonal", "--precision", str(precision))
+            assert TestCirculantInverseText._stdout_and_file(capsys, tmp_path, *argv) == (
+                expected, expected), a
+
+    def test_tridiagonal_dense_holds_no_dense_array(self, tmp_path):
+        # One block of 2**14 entries and one chunk of two rows of text with
+        # the writer's copies of it, where the n x n inverse alone is 32 MB.
+        # An untraced run first keeps the lazy imports and the parser out of
+        # the peak.
+        target = tmp_path / "inverse.txt"
+        argv = ("invert", "--n", "2000", "--c", "2.05", "--a", "1", "--precision", "17",
+                "--variant", "tridiagonal", "--out", str(target))
+        assert run_cli(*argv) == 0
+        assert 8 * peak_doubles(run_cli, *argv) <= 2**20
+
+    @pytest.mark.parametrize(
+        "argv, code, kind",
+        [
+            (["--n", "10001", "--c", "2.0001", "--a", "1"], 6, "SizeGuard"),
+            # The dense cap is checked before the range of the entries.
+            (["--n", "10001", "--c", "2.0001e-310", "--a", "1e-310"], 6, "SizeGuard"),
+            (["--n", "64", "--c", "2.5e-310", "--a", "1e-310"], 3, "Overflow"),
+        ],
+    )
+    def test_errors_come_before_the_first_byte(self, capsys, tmp_path, argv, code, kind):
+        argv = ["invert", *argv, "--variant", "tridiagonal"]
+        assert run_cli(*argv) == code
+        out = capsys.readouterr()
+        assert out.err.splitlines()[0].startswith(f"ERROR {kind}:")
+        assert out.out == ""
+        target = tmp_path / "inverse.txt"
+        target.write_text("previous contents\n")
+        assert run_cli(*argv, "--out", str(target)) == code
+        assert target.read_text() == "previous contents\n"
+
+
 class TestFailureAfterTheFirstChunk:
     """A command that fails once part of its payload is written leaves an
     ``--out`` regular file empty; stdout and other files keep that part."""

@@ -1,3 +1,4 @@
+import math
 import threading
 import warnings
 from fractions import Fraction
@@ -328,32 +329,50 @@ def test_tridiagonal_inverse_beyond_the_range_raises(n, c, a):
             inverse_dense(fct)
 
 
-@pytest.mark.parametrize("n, d, a, strict", EXACT_CASES)
+# The same orders and ratios at extreme scales: entries of order 1/a, where
+# an unshifted fold of 1/a into G would underflow for a = 3e300.
+EXTREME_SCALE_CASES = sorted(
+    {(n, d, scale, strict) for n, d, _, strict in EXACT_CASES for scale in (1e-300, 1e-200, 3e300)}
+)
+
+
+@pytest.mark.parametrize("n, d, a, strict", EXACT_CASES + EXTREME_SCALE_CASES)
 def test_tridiagonal_inverse_matches_exact_rational_inverse(n, d, a, strict):
+    # Normwise, and entrywise on the entries in the normal range.
     spec = SystemSpec(n, d * a, a, strict)
     inv = inverse_dense(decompose_tridiagonal(spec))
     exact = np.array(
         [[float(v) for v in row] for row in _exact_tridiagonal_inverse(n, spec.c, a)]
     )
     bound = 64 * _condition_number(spec, False) * np.finfo(float).eps
-    assert np.abs(inv - exact).max() <= bound * np.abs(exact).max()
+    error = np.abs(inv - exact)
+    assert error.max() <= bound * np.abs(exact).max()
+    normal = np.abs(exact) >= np.finfo(float).tiny
+    assert (error[normal] <= bound * np.abs(exact[normal])).all()
 
 
 def _outer_then_rows(fct):
-    """The closed form in three passes: one outer product, the lower
-    triangle rewritten row by row, then the division by a."""
-    n = fct.spec.n
-    G = fct.f[n:0:-1] / fct.f[n + 1]
-    minus_f = -fct.f[1 : n + 1]
-    out = np.multiply.outer(minus_f, G)
+    """The closed form in two passes: one outer product of the factors
+    F = -f 2**-q and H_j = f_{n+1-j} / (a f_{n+1} 2**-q), then the lower
+    triangle rewritten row by row from the same products.  The writer's
+    einsum adds each product to a zeroed output, so an entry that
+    underflows is +0.0 whatever its sign; adding 0.0 does the same here."""
+    n, a = fct.spec.n, fct.spec.a
+    top = float(fct.f[n + 1])
+    q = max(0, math.frexp(top)[1] + math.frexp(a)[1] - 1021)
+    F = np.ldexp(-fct.f[1 : n + 1], -q)
+    H = fct.f[n:0:-1] / (math.ldexp(top, -q) * a)
+    # Below the diagonal F_i H_j is no entry and may overflow; it is rewritten.
+    with np.errstate(over="ignore"):
+        out = np.multiply.outer(F, H)
     for i in range(1, n):
-        np.multiply(minus_f[:i], G[i], out[i, :i])
-    out /= fct.spec.a
+        np.multiply(F[:i], H[i], out[i, :i])
+    out += 0.0
     return out
 
 
-# Row blocks are min(n, 64, 2**16 // n) rows high: one block up to n = 64,
-# and a partial last block at 65, 255, 257, 1000 and 2000.
+# Row blocks are 64 rows high: one block up to n = 64, and a partial last
+# block at 65, 255, 257, 1000 and 2000.
 @pytest.mark.parametrize("n", [3, 4, 5, 63, 64, 65, 255, 256, 257, 1000, 2000, 2048])
 @pytest.mark.parametrize(
     "d, strict", [(2.0001, True), (-2.05, True), (1.3, False), (-0.7, False)]
