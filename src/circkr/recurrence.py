@@ -7,10 +7,16 @@ only on the normalized ratio ``d = c / a`` through one sequence::
 
     f_0 = 0,   f_1 = 1,   f_{i+1} = -d * f_i - f_{i-1}
 
+``f_i = U_{i-1}(-d/2)``, a Chebyshev polynomial of the second kind, so it
+obeys the addition formula of those polynomials.  The generator runs the
+literal recurrence for the first 514 values only, and forms every later
+block of 512 values from them by that formula in two vector products.
+
 For ``|d| > 2`` (the strictly diagonally dominant case) the sequence grows
 geometrically with per-step ratio ``(|d| + sqrt(d^2 - 4)) / 2``, so the
-generator checks for 64-bit range exhaustion and reports the largest usable
-index instead of letting infinities propagate downstream.
+generator checks for 64-bit range exhaustion, once per block, and reports
+the largest usable index instead of letting infinities propagate
+downstream.
 
 From ``f`` two recurrence-level quantities follow: the corner coupling
 coefficients ``r_j = f_n * f_1 / (f_{j+1} * f_j)`` and the closure scalar
@@ -35,9 +41,9 @@ from .errors import (
 # Two algebraically identical evaluations of g must agree this tightly.
 G_AGREEMENT_RTOL = 1e-12
 
-# Steps between checks in generate_f.  Infinity and NaN propagate through
-# the recurrence, so a finite last value clears the whole chunk.
-_CHECK_EVERY = 512
+# Values per block of generate_f: the base block f_0 .. f_{L+1} is the
+# literal recurrence, and each later block of L values two products of it.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,24 @@ def generate_f(source, m):
     Returns
     -------
     numpy.ndarray
-        Vector of length ``m + 1`` with ``out[i] = f_i``.  Generation is
-        deterministic: identical inputs give bit-identical outputs.
+        Vector of length ``m + 1`` with ``out[i] = f_i``.  The base block
+        ``f_0 .. f_513`` is the literal recurrence, step by step, so for
+        ``m <= 513`` the result is exactly that.  Each later block of
+        L = 512 values is formed from the base block by the addition
+        formula ``f_{cL+j} = f_{cL} T_j + (f_{cL+1} - T_1 f_{cL}) f_j``,
+        j = 2 .. L + 1, with ``T_j = T_j(-d/2)`` the Chebyshev polynomials
+        of the first kind (``f_j = U_{j-1}(-d/2)`` is of the second kind),
+        themselves a literal recurrence from ``T_0 = 1``, ``T_1 = -d/2``.
+        That is two vector products per block, and one Python step per
+        block for its starts ``(f_{cL}, f_{cL+1})``, the previous block's
+        last two values.  Past f_513 the values are exact in exact
+        arithmetic, deterministic, and not bit-identical to the literal
+        recurrence: their error relative to ``max_{j<=i} |f_j|`` reached
+        3.3e5 eps near ``|d| = 2`` at i = 3000, where the literal loop's
+        reached 6.9e5 eps.  Each value still meets the three-term relation
+        with its neighbours to within 4 eps of ``max_{j<=i} |f_j|``
+        (measured up to m = 70519), as the literal loop's do, so solves
+        keep their backward error.
 
     Raises
     ------
@@ -133,12 +155,16 @@ def generate_f(source, m):
         If some ``f_i`` leaves the finite 64-bit range.  The error carries
         ``failing_index``, the asymptotic ``growth_ratio``, and
         ``max_safe_m`` (the largest index that is still finite), and never
-        returns a vector containing non-finite values.
+        returns a vector containing non-finite values.  The block in which
+        the literal step would first overflow is finished by that step
+        from the two values before it, so the error, index and message are
+        those of the literal recurrence.  Generation stops at that block,
+        however large ``m`` is.
     ZeroPivotError
         If some ``f_i`` with ``i >= 1`` is exactly zero, which can happen
         only for permissive ratios ``|d| <= 2``.  Zero entries would later
-        be used as divisors, so generation refuses eagerly.  Either error
-        stops generation within 512 steps, however large ``m`` is.
+        be used as divisors, so generation refuses eagerly; a zero among
+        ``f_0 .. f_513`` stops it there, however large ``m`` is.
 
     Examples
     --------
@@ -152,32 +178,14 @@ def generate_f(source, m):
     m = operator.index(m)
     if m < 1:
         raise InvalidSpecError(f"sequence length m must be at least 1, got {m}")
-    values = _f_values(d)
-    out = None
-    if m > _CHECK_EVERY + 1:
-        size = m + 1
-        if abs(d) > 2.0:
-            # |f_i| >= rho**(i - 1), so f overflows by i = 2 + 1024 / log2(rho)
-            # and the loop stops at the end of that chunk; the 1025 and the
-            # second chunk are margin for rounding.
-            size = min(size, int(1025 / math.log2(growth_ratio(d))) + 2 * _CHECK_EVERY)
-        out = np.empty(size)
-    start, stop = 0, 2  # f_0 and f_1 ride with the first chunk of steps
-    while start <= m:
-        stop = min(stop + _CHECK_EVERY, m + 1)
-        chunk = np.fromiter(values, float, stop - start)
-        if out is None:
-            out = chunk
-        else:
-            out[start:stop] = chunk
-        # Only |d| <= 2 can reach a zero past f_0: above 2, rounding is
-        # monotone, so |f_{i+1}| >= 2|f_i| - |f_{i-1}| >= |f_i| >= 1.
-        has_zero = abs(d) <= 2.0 and np.count_nonzero(chunk) + (start == 0) < chunk.size
-        if has_zero or not math.isfinite(chunk[-1]):
-            break
-        start = stop
-    else:
-        return out
+    out = np.fromiter(_f_values(d), float, min(m + 1, _BLOCK + 2))
+    stop = out.size
+    if not _fails(out, d, 1):
+        if stop == m + 1:
+            return out
+        out, stop = _extend(d, out, m)
+        if stop is None:
+            return out
     # Cold path: raise for the first value past f_0 that is non-finite or zero.
     i = 1 + int(np.argmin(np.isfinite(out[1:stop]) & (out[1:stop] != 0.0)))
     if out[i] == 0.0:
@@ -194,9 +202,95 @@ def generate_f(source, m):
     )
 
 
-def _f_values(d):
-    # Endless f_0, f_1, ... as Python floats; np.fromiter takes exactly the count it is given.
-    nd, prev, cur = -d, 0.0, 1.0
+def _fails(values, d, zeros):
+    # Whether a run of f holds more than ``zeros`` zeros or ends non-finite.
+    # Only |d| <= 2 can reach a zero past f_0: above 2, rounding is
+    # monotone, so |f_{i+1}| >= 2|f_i| - |f_{i-1}| >= |f_i| >= 1.  Infinity
+    # and NaN propagate through the recurrence, and above 2 |f_i| grows, so
+    # a finite last value clears the whole run.
+    if abs(d) <= 2.0 and np.count_nonzero(values) + zeros < values.size:
+        return True
+    return not math.isfinite(values[-1])
+
+
+def _extend(d, base, m):
+    """f_0 .. f_m from the clean base block ``base`` = f_0 .. f_{L+1}, m > L + 1.
+
+    Returns ``(out, None)``, or ``(out, stop)`` with the first non-finite
+    or zero value past f_0 in ``out[:stop]``.  Block c = 1, 2, ... holds
+    f_{cL+2} .. f_{cL+L+1}.  Its two terms f_{cL} T_j and q_c f_j,
+    q_c = f_{cL+1} - T_1 f_{cL}, are each at most about the value they
+    form, whatever d.  In the other basis, f_{cL+j} = f_{cL+1} f_j -
+    f_{cL} f_{j-1}, each product is up to 1/sqrt(d^2 - 4) times the value
+    near |d| = 2; the base block's rounding, so magnified, broke the
+    three-term relation by about 50 eps at d = -2.0001, and a solve's
+    backward error went from 1 to 46 eps.
+    """
+    L = _BLOCK
+    size = m + 1
+    if abs(d) > 2.0:
+        # |f_i| >= rho**(i - 1), so f overflows by i = 2 + 1024 / log2(rho),
+        # in the block that holds that index; the 1025 and one more block
+        # are margin for rounding.
+        size = min(size, int(1025 / math.log2(growth_ratio(d))) + 2 * L)
+    out = np.empty(size)
+    out[: L + 2] = base
+    t = np.fromiter(_f_values(d, 1.0, -0.5 * d), float, L + 2)
+    t_1, t_l, t_top = t[[1, L, L + 1]].tolist()
+    f_l, f_top = base[L:].tolist()
+    s0, s1 = f_l, f_top
+    starts = []
+    for _ in range(-(-(size - L - 2) // L)):
+        q = s1 - t_1 * s0
+        starts.append((s0, q))
+        # Python floats: the same roundings as the block's last two values.
+        s0, s1 = s0 * t_l + q * f_l, s0 * t_top + q * f_top
+        # Above 2, |f_i| grows within a block and the literal step first
+        # fails where |d f_{i-1}| overflows (its subtraction only shrinks
+        # the product): a finite d * s1 clears the whole block.
+        if not math.isfinite(d * s1):
+            break
+    stop = min(size, L + 2 + L * len(starts))
+    if math.isfinite(d * s1):
+        _blocks(out, base, t, starts, stop)
+        return out, (stop if abs(d) <= 2.0 and _fails(out[L + 2 :], d, 0) else None)
+    # Finish the last block with the literal step from where it would fail
+    # (or from a non-finite block value, if one comes first), so that the
+    # error is the literal recurrence's.
+    lo = L + 2 + L * (len(starts) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _blocks(out, base, t, starts, stop)
+        ok = np.isfinite(out[lo:stop]) & np.isfinite(d * out[lo - 1 : stop - 1])
+    i = lo + int(np.argmin(ok)) if not ok.all() else stop
+    while i < size:
+        stop = min(i + L, size)
+        prev, cur = out[i - 2 : i].tolist()
+        out[i:stop] = np.fromiter(_f_values(d, prev, cur), float, stop - i + 2)[2:]
+        if not math.isfinite(out[stop - 1]):
+            return out, stop
+        i = stop
+    return out, None
+
+
+def _blocks(out, base, t, starts, stop):
+    # out[L + 2 : stop], block c from its starts (f_{cL}, q_c) and the base
+    # blocks: f_{cL+j} = f_{cL} T_j + q_c f_j, j = 2 .. L + 1.
+    L = _BLOCK
+    rows = (stop - L - 2) // L
+    s = np.array(starts)
+    body = out[L + 2 : L + 2 + rows * L].reshape(rows, L)
+    np.multiply(s[:rows, :1], t[2:], out=body)
+    body += np.multiply(s[:rows, 1:], base[2:])
+    k = stop - L - 2 - rows * L
+    if k:
+        s0, q = starts[rows]
+        np.add(s0 * t[2 : k + 2], q * base[2 : k + 2], out=out[stop - k : stop])
+
+
+def _f_values(d, prev=0.0, cur=1.0):
+    # Endless f_{i-1}, f_i, f_{i+1}, ... from (prev, cur) = (f_{i-1}, f_i) as
+    # Python floats; np.fromiter takes exactly the count it is given.
+    nd = -d
     yield prev
     yield cur
     while True:

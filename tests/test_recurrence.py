@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,54 @@ def _outcome(generate, d, m):
         return generate(d, m).tobytes()
     except (GrowthOverflowError, ZeroPivotError) as err:
         return type(err), str(err), vars(err)
+
+
+def _exact_f(d, m):
+    """f_0 .. f_m of the exact recurrence, each rounded once to a double.
+
+    d is p / 2**k exactly, so f_i 2**256 runs in integers; each step
+    truncates below 2**-256, which leaves every value exact to far below
+    one ulp of max_{j<=i} |f_j| (m <= 10**5).  A value past the 64-bit
+    range reads as inf.
+    """
+    p, q = Fraction(d).as_integer_ratio()
+    shift, one = q.bit_length() - 1, 1 << 256
+    out = np.empty(m + 1)
+    prev, cur = 0, one
+    out[0] = 0.0
+    for i in range(1, m + 1):
+        try:
+            out[i] = cur / one  # int / int rounds once, correctly
+        except OverflowError:
+            out[i] = math.copysign(math.inf, cur)
+        prev, cur = cur, -((p * cur) >> shift) - prev
+    return out
+
+
+# Past f_513 each block of 512 values is formed by the addition formula,
+# not step by step, so those values are held to the exact recurrence.  The
+# worst error relative to max_{j<=i} |f_j| found was 3.3e5 eps, at
+# d = -2.000000000041 and m = 3000, over 3000 draws of d near +-2 and over
+# the hypothesis ranges below with m = 514 .. 3000, and 600 more at
+# |d| - 2 = 1e-12 .. 1e-9; the literal loop reached 6.9e5 eps on the same
+# draws.  The bound, 2**20 eps, leaves a factor of three.
+BLOCK_F_BOUND = 2.0**20 * np.finfo(float).eps
+
+
+def _assert_matches_one_step_loop(d, m):
+    """generate_f against the one-step loop: the same bytes through f_513,
+    the same error (type, index, message) at every m, and past f_513
+    values within BLOCK_F_BOUND of the exact recurrence."""
+    expected = _outcome(_one_step_generate_f, d, m)
+    got = _outcome(generate_f, d, m)
+    if m <= 513 or not isinstance(expected, bytes):
+        assert got == expected
+        return
+    assert isinstance(got, bytes), got
+    assert got[: 514 * 8] == expected[: 514 * 8]
+    exact = _exact_f(d, m)
+    scale = np.maximum.accumulate(np.abs(exact))
+    assert (np.abs(np.frombuffer(got) - exact) <= BLOCK_F_BOUND * scale).all()
 
 
 class TestSystemSpec:
@@ -196,7 +245,7 @@ class TestGenerateF:
         m=st.integers(1, 3000),
     )
     def test_matches_one_step_loop_bit_for_bit(self, d, m):
-        assert _outcome(generate_f, d, m) == _outcome(_one_step_generate_f, d, m)
+        _assert_matches_one_step_loop(d, m)
 
     @pytest.mark.parametrize(
         "d, m",
@@ -204,7 +253,7 @@ class TestGenerateF:
          (-2.0001, 70519), (-2.0001, 70520)],
     )
     def test_pinned_cases_match_one_step_loop(self, d, m):
-        assert _outcome(generate_f, d, m) == _outcome(_one_step_generate_f, d, m)
+        _assert_matches_one_step_loop(d, m)
 
     @pytest.mark.parametrize(
         "d, m, failing_index",
@@ -224,9 +273,28 @@ class TestGenerateF:
         "d", [2.0001, -2.0001, 2.5, -2.5, 4.25, 4.24, 0.0, 1.0, -1.0, 1.9999999]
     )
     def test_chunk_seams_match_one_step_loop(self, d, m):
-        # Each chunk is read from one stream of values, so a chunk that
-        # took one value too many or too few would shift everything after it.
-        assert _outcome(generate_f, d, m) == _outcome(_one_step_generate_f, d, m)
+        # A block that started one value early or late would shift
+        # everything after it, far past the bound.
+        _assert_matches_one_step_loop(d, m)
+
+    @pytest.mark.parametrize(
+        "d, m, failing_index",
+        # 2.5: f_1024 is the last finite value, in block 1 (f_514 .. f_1025),
+        # and 2.5 f_1024 overflows, so the literal step finishes that block.
+        # 4.24: f_514, the first value after the base block, overflows.
+        # -2.0001: f_70520 is the first value past max_safe_n + 1.
+        # -2.00009972: d f_70617 overflows though f_70657, the end of its
+        # block, is finite: a block is cleared by d f_i, not by f_i, or the
+        # next block would report the overflow.
+        [(2.5, 1024, None), (2.5, 1025, 1025), (4.24, 600, 514), (-2.0001, 70520, 70520),
+         (-2.00009972, 70700, 70618)],
+    )
+    def test_block_seams_match_one_step_loop(self, d, m, failing_index):
+        if failing_index is not None:
+            with pytest.raises(GrowthOverflowError) as excinfo:
+                generate_f(d, m)
+            assert excinfo.value.failing_index == failing_index
+        _assert_matches_one_step_loop(d, m)
 
     @pytest.mark.parametrize("d, index", [(0.0, 2), (1.0, 3)])
     def test_zero_pivot_stops_early(self, d, index):

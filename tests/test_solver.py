@@ -555,6 +555,29 @@ def test_closed_form_keeps_precision_at_range_edges(n, c, a, circulant):
     assert _backward_error(spec, x, b, circulant) <= 1e-14
 
 
+@pytest.mark.parametrize("circulant", [True, False], ids=VARIANT_IDS)
+@pytest.mark.parametrize(
+    "n, d",
+    [(4095, 2.0001), (65535, 2.0001), (4095, -2.0001), (65535, -2.0001), (4095, 2.01),
+     (2047, 2.05), (1023, 2.5), (4095, -1.5), (65535, -1.5)],
+)
+def test_block_generated_f_solves_within_64_kappa_eps(n, d, circulant):
+    # Past f_513, generate_f forms f in blocks by the addition formula.  The
+    # closure scalar's two forms still agree (no InconsistencyError), and
+    # the solve agrees with the spectral one within 64 kappa eps, kappa from
+    # the closed-form eigenvalues.
+    spec = SystemSpec(n, d, 1.0, strict=abs(d) > 2.0)
+    variant = "circulant" if circulant else "tridiagonal"
+    fct = _factorize(spec, circulant)
+    angles = 2.0 * np.pi * np.arange(n) / n if circulant else np.pi * np.arange(1, n + 1) / (n + 1)
+    lam = np.abs(d + 2.0 * np.cos(angles))
+    kappa = lam.max() / lam.min()
+    b = np.random.default_rng(31).standard_normal(n)
+    expected = spectral_solve(spec, b, variant)
+    error = np.abs(solve(fct, b) - expected).max() / np.abs(expected).max()
+    assert error <= 64 * kappa * np.finfo(float).eps
+
+
 def test_block_counts_each_column():
     fct = decompose(SystemSpec(64, 5.0, 2.0))
     block = np.ones((64, 3))
