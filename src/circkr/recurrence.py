@@ -145,9 +145,14 @@ def generate_f(source, m):
         recurrence: their error relative to ``max_{j<=i} |f_j|`` reached
         3.3e5 eps near ``|d| = 2`` at i = 3000, where the literal loop's
         reached 6.9e5 eps.  Each value still meets the three-term relation
-        with its neighbours to within 4 eps of ``max_{j<=i} |f_j|``
-        (measured up to m = 70519), as the literal loop's do, so solves
-        keep their backward error.
+        with its neighbours to within 4 eps of ``max_{j<=i} |f_j|`` (measured
+        up to m = 70519 at d = +-2.0001, 2.01, 2.05, 2.5, 4, +-1.999, +-1.5,
+        1.3, -0.3).  For ``|d| > 2`` solves keep their backward error (at
+        most 1.1 eps on the strict grid of ``tools/accuracy.py``).  For
+        ``|d| <= 2`` the relation does not bound the relative error of a
+        small ``f_i``, and permissive solves past ``f_513`` can lose backward
+        error: at d = 1.999, n = 3001 the tridiagonal one went from 8.6 to
+        76 eps (``ACCURACY_pr31.json``).
 
     Raises
     ------

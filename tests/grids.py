@@ -1,9 +1,17 @@
 """Shared parameter grids and small helpers for the test suite."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+
+# tools/accuracy.py, the accuracy harness, which is a script and not a package.
+_ACCURACY = importlib.util.spec_from_file_location(
+    "accuracy", Path(__file__).parents[1] / "tools" / "accuracy.py")
+accuracy = importlib.util.module_from_spec(_ACCURACY)
+_ACCURACY.loader.exec_module(accuracy)
 
 # The stress grid: orders, normalized ratios, off-diagonal scales.
 GRID_N = (3, 4, 5, 8, 16, 64, 200)
